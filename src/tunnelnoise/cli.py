@@ -30,7 +30,9 @@ from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import jump_residuals, transferred_fluxes
 from .noise import (
     ResonatorSpec,
+    feasibility_lhs,
     noise_budget,
+    quantum_force_psd,
     shot_noise_current_psd,
 )
 from .scattering import BarrierSpec, Family, solve
@@ -39,6 +41,7 @@ from .uncertainty import (
     dT_dl,
     momentum_uncertainty,
     position_uncertainty,
+    uncertainty_product,
 )
 from .units import HBAR, Energy
 
@@ -159,77 +162,45 @@ def _grid(config: SweepConfig) -> list:
     return [config.minimum + span * i / last for i in range(config.steps)]
 
 
-def _spec_at(config: SweepConfig, value: float) -> BarrierSpec:
-    phi = config.phi_ev
-    gap = config.gap_nm
-    if config.variable is SweepVariable.BIAS_PHI:
-        phi = value
-    elif config.variable is SweepVariable.GAP:
-        gap = value
-    if config.family is Family.SYMMETRIC_RECT:
-        return BarrierSpec.symmetric(config.v0_ev, gap)
-    if config.family is Family.ASYMMETRIC_RECT:
-        return BarrierSpec.asymmetric(config.v0_ev, phi, gap)
-    return BarrierSpec.linear_field(config.v0_ev, phi, gap)
-
-
-def _energy_at(config: SweepConfig, value: float) -> Energy:
-    if config.variable is SweepVariable.ENERGY:
-        return Energy.from_ev(value)
-    return Energy.from_ev(config.e_ev)
+def _barrier_spec(family: Family, v0: float, phi: float, gap: float) -> BarrierSpec:
+    """Barrier of ``family`` from eV/nm inputs; the symmetric one has no phi."""
+    if family is Family.SYMMETRIC_RECT:
+        return BarrierSpec.symmetric(v0, gap)
+    if family is Family.ASYMMETRIC_RECT:
+        return BarrierSpec.asymmetric(v0, phi, gap)
+    return BarrierSpec.linear_field(v0, phi, gap)
 
 
 def _point_values(config: SweepConfig, value: float) -> dict:
     """Every supported column at one grid point, in documented units."""
-    spec = _spec_at(config, value)
-    energy = _energy_at(config, value)
-    sol = solve(energy, spec)
-    derivative = dT_dl(sol, DerivativeMethod.ANALYTIC)
-    delta_l = position_uncertainty(sol, derivative, config.n_electrons)
-    delta_p = momentum_uncertainty(
-        transferred_fluxes(sol), sol, config.n_electrons
+    variable = config.variable
+    spec = _barrier_spec(
+        config.family,
+        config.v0_ev,
+        value if variable is SweepVariable.BIAS_PHI else config.phi_ev,
+        value if variable is SweepVariable.GAP else config.gap_nm,
     )
+    energy = Energy.from_ev(value if variable is SweepVariable.ENERGY else config.e_ev)
+    result = uncertainty_product(energy, spec, config.n_electrons)
     values = {
-        "T": sol.T,
-        "R": sol.R,
-        "delta_l": delta_l.nm,
-        "delta_p": delta_p,
-        "product": delta_l.meters * delta_p / HBAR,
+        "T": result.solution.T,
+        "R": result.solution.R,
+        "delta_l": result.delta_l.nm,
+        "delta_p": result.delta_p,
+        "product": result.product_over_hbar,
     }
     if "s_fq" in config.outputs:
-        from .noise import quantum_force_psd
-
         values["s_fq"] = quantum_force_psd(config.i0_a, energy, spec)
     return values
 
 
-def _point_columns(config: SweepConfig, value: float) -> dict:
-    values = _point_values(config, value)
-    row = {name: values[name] for name in config.outputs}
-    for name, column_value in row.items():
-        if not math.isfinite(column_value):
-            raise DomainError(f"column {name} is not finite at {value!r}")
-    return row
-
-
 def _zero_bias_product(config: SweepConfig) -> float:
-    zero_bias = SweepConfig(
-        family=config.family,
-        v0_ev=config.v0_ev,
-        e_ev=config.e_ev,
-        phi_ev=0.0,
-        gap_nm=config.gap_nm,
-        variable=SweepVariable.GAP,
-        minimum=config.gap_nm,
-        maximum=config.gap_nm * 2.0,
-        steps=2,
-        outputs=("product",),
-        n_electrons=config.n_electrons,
-        i0_a=config.i0_a,
-        fmt=config.fmt,
-        out_path=None,
-    )
-    return _point_columns(zero_bias, config.gap_nm)["product"]
+    spec = _barrier_spec(config.family, config.v0_ev, 0.0, config.gap_nm)
+    energy = Energy.from_ev(config.e_ev)
+    product = uncertainty_product(energy, spec, config.n_electrons).product_over_hbar
+    if not math.isfinite(product):
+        raise DomainError(f"column product is not finite at {config.gap_nm!r}")
+    return product
 
 
 def run_sweep(config: SweepConfig) -> tuple:
@@ -457,8 +428,6 @@ def _solve_dump(
     except DomainError as exc:
         payload["uncertainty"] = {"unavailable": str(exc)}
     if barrier.family is Family.SYMMETRIC_RECT:
-        from .noise import quantum_force_psd
-
         payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, energy, barrier)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -481,21 +450,17 @@ def _selftest() -> int:
         (BarrierSpec.asymmetric(4.0, 1.5, 0.3), 1.2),
         (BarrierSpec.linear_field(5.0, 2.0, 0.5), 1.0),
     ]
-    worst_unitarity = max(
-        abs(solve(Energy.from_ev(e), spec).T + solve(Energy.from_ev(e), spec).R - 1.0)
-        for spec, e in cases
-    )
+    solutions = [solve(Energy.from_ev(e), spec) for spec, e in cases]
+    worst_unitarity = max(abs(sol.T + sol.R - 1.0) for sol in solutions)
     check(
         "unitarity T+R=1 within 1e-10",
         worst_unitarity < 1e-10,
         f"defect {worst_unitarity:.3e}",
     )
 
-    sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
-    derivative = dT_dl(sol, DerivativeMethod.ANALYTIC)
-    delta_l = position_uncertainty(sol, derivative, 1.0)
-    delta_p = momentum_uncertainty(transferred_fluxes(sol), sol, 1.0)
-    product = delta_l.meters * delta_p / HBAR
+    product = uncertainty_product(
+        Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5)
+    ).product_over_hbar
     check(
         "symmetric uncertainty product equals 1/2 within 1e-10",
         abs(product - 0.5) < 1e-10,
@@ -529,10 +494,8 @@ def _selftest() -> int:
         f"defect {worst_wronskian:.3e}",
     )
 
-    from .noise import feasibility_lhs as lhs_fn
-
     nominal = ResonatorSpec(mass=1e-10, f0=1e5, quality=1e7, temperature=0.01)
-    lhs = lhs_fn(1e-6, nominal)
+    lhs = feasibility_lhs(1e-6, nominal)
     check("feasibility normalization is unity at nominal", abs(lhs - 1.0) < 1e-12)
 
     shot = shot_noise_current_psd(1e-6)
@@ -542,11 +505,9 @@ def _selftest() -> int:
         f"value {shot:.4e}",
     )
 
-    zero_bias = solve(Energy.from_ev(1.0), BarrierSpec.linear_field(5.0, 1e-6, 1.0))
-    d0 = dT_dl(zero_bias, DerivativeMethod.ANALYTIC)
-    l0 = position_uncertainty(zero_bias, d0, 1.0)
-    p0 = momentum_uncertainty(transferred_fluxes(zero_bias), zero_bias, 1.0)
-    product0 = l0.meters * p0 / HBAR
+    product0 = uncertainty_product(
+        Energy.from_ev(1.0), BarrierSpec.linear_field(5.0, 1e-6, 1.0)
+    ).product_over_hbar
     check(
         "vanishing-bias product matches 1/2 within 1e-4",
         abs(product0 - 0.5) < 1e-4,
@@ -685,32 +646,27 @@ def _load_config_entries(args: argparse.Namespace) -> None:
     args._config_entries = entries
 
 
-def _barrier_from(args: argparse.Namespace, default_family: str) -> BarrierSpec:
+def _family_from(args: argparse.Namespace, default_family: str) -> Family:
     family_name = _merged(args, "barrier", default_family)
     if family_name not in _FAMILIES:
         raise UsageError(
             f"unknown barrier family {family_name!r}; choose from "
             f"{sorted(_FAMILIES)}"
         )
-    family = _FAMILIES[family_name]
-    v0 = _merged(args, "V0", 5.0)
-    phi = _merged(args, "phi", 0.0)
-    gap = _merged(args, "gap", 0.5)
-    if family is Family.SYMMETRIC_RECT:
-        return BarrierSpec.symmetric(v0, gap)
-    if family is Family.ASYMMETRIC_RECT:
-        return BarrierSpec.asymmetric(v0, phi, gap)
-    return BarrierSpec.linear_field(v0, phi, gap)
+    return _FAMILIES[family_name]
+
+
+def _barrier_from(args: argparse.Namespace, default_family: str) -> BarrierSpec:
+    return _barrier_spec(
+        _family_from(args, default_family),
+        _merged(args, "V0", 5.0),
+        _merged(args, "phi", 0.0),
+        _merged(args, "gap", 0.5),
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    family_name = _merged(args, "barrier", "field")
-    if family_name not in _FAMILIES:
-        raise UsageError(
-            f"unknown barrier family {family_name!r}; choose from "
-            f"{sorted(_FAMILIES)}"
-        )
-    family = _FAMILIES[family_name]
+    family = _family_from(args, "field")
     variable = SweepVariable(_merged(args, "sweep", "phi"))
     default_columns = "T,R,delta_l,delta_p,product"
     columns_raw = _merged(args, "columns", default_columns)

@@ -41,14 +41,12 @@ _TWO_PI = 2.0 * math.pi
 class Side(enum.Enum):
     """One-sided limit selector for sampling at potential steps.
 
-    ``BULK`` marks a point in the interior of a region, where both
-    one-sided limits coincide (at a step it behaves like
-    ``RIGHT_LIMIT``).
+    Away from a step both limits coincide, so either member serves for a
+    point in the interior of a region.
     """
 
     LEFT_LIMIT = "left_limit"
     RIGHT_LIMIT = "right_limit"
-    BULK = "bulk"
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def _report_from_sample(sample: WavefunctionSample, side: Side) -> FluxReport:
 
 
 def currents_at(
-    sol: ScatteringSolution, x: "float | Length", side: Side = Side.BULK
+    sol: ScatteringSolution, x: "float | Length", side: Side = Side.RIGHT_LIMIT
 ) -> FluxReport:
     """Evaluate all six densities and currents at one point.
 

@@ -150,6 +150,12 @@ def quantum_force_psd(I0: float, E: Energy, spec: BarrierSpec) -> float:
             f"rectangular approximation explicitly (got {spec.family.value})"
         )
     sol = solve_symmetric(E, spec)
+    if sol.T == 0.0:
+        raise DomainError(
+            "transmission underflows to 0 at this gap "
+            f"({spec.gap.nm!r} nm); the kick-variance route needs 1/T "
+            "attempts per conducted electron"
+        )
     k = sol.k.per_meter
     k0 = sol.k0.per_meter
     rate = current / ELEMENTARY_CHARGE

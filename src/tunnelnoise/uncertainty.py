@@ -11,9 +11,10 @@ Heisenberg bound exactly; the biased families land above it.
 The gap derivative of the transmission has two routes: closed forms
 differentiated from the solver's own representation (default), and
 Richardson-extrapolated central differences re-solving at displaced
-gaps.  The closed forms are exact to rounding, which the bound checks
-need; the numeric route is kept as an independent cross-check and for
-``both`` mode, which runs the two against each other.
+gaps under Ridders' scheme (``finite_diff``).  The closed forms are exact
+to rounding, which the bound checks need; the numeric route is kept as
+an independent cross-check and for ``both`` mode, which runs the two
+against each other.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .airy import airy_all, airy_scaled
 from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import TransferredFluxes, transferred_fluxes
-from .oracle import finite_diff
 from .scattering import BarrierSpec, ScatteringSolution, solve
 from .units import HBAR, Energy, Length
 
@@ -67,6 +68,9 @@ class UncertaintyResult:
         Gap derivative of the transmission, 1/m.
     dT_dl_method : DerivativeMethod
         Route that produced ``dT_dl``.
+    solution : ScatteringSolution
+        The solved state the pair was built from (``T``, ``R`` and the
+        amplitudes).
     """
 
     delta_l: Length
@@ -75,6 +79,7 @@ class UncertaintyResult:
     n_electrons: float
     dT_dl: float
     dT_dl_method: DerivativeMethod
+    solution: ScatteringSolution
 
 
 def _coerce_method(method: "DerivativeMethod | str") -> DerivativeMethod:
@@ -182,6 +187,56 @@ def _tilted_dT_dl(sol: ScatteringSolution) -> float:
         - (dq_a * p_b + q_a * dp_b)
     )
     return sol.T * (-2.0 / (3.0 * gap) - 2.0 * ddzeta - 2.0 * (df / f_tilde).real)
+
+
+def finite_diff(
+    f: Callable[[float], float], x: float, rel_step: float = 1e-2
+) -> tuple[float, float]:
+    """Derivative of ``f`` at ``x`` by Ridders' polished central difference.
+
+    Starts from step ``rel_step * |x|`` (``rel_step`` itself at ``x = 0``)
+    and contracts it while building a Neville extrapolation tableau;
+    stops as soon as the error estimate worsens, which keeps roundoff
+    from contaminating the answer.
+
+    Returns
+    -------
+    (derivative, error_estimate) : tuple of float
+        The estimate is the spread of the best tableau entry and tracks
+        the true error well, including any noise floor in ``f`` itself.
+    """
+    if not rel_step > 0.0:
+        raise UsageError(f"rel_step must be positive, got {rel_step}")
+    con = 1.4
+    con2 = con * con
+    safe = 2.0
+    ntab = 10
+
+    hh = rel_step * abs(x) if x != 0.0 else rel_step
+    # tableau[j][i]: column i is step i, row j its j-th extrapolation.
+    tableau = [[0.0] * ntab for _ in range(ntab)]
+    tableau[0][0] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
+    ans = tableau[0][0]
+    err = math.inf
+    for i in range(1, ntab):
+        hh /= con
+        tableau[0][i] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
+        fac = con2
+        for j in range(1, i + 1):
+            tableau[j][i] = (tableau[j - 1][i] * fac - tableau[j - 1][i - 1]) / (
+                fac - 1.0
+            )
+            fac *= con2
+            errt = max(
+                abs(tableau[j][i] - tableau[j - 1][i]),
+                abs(tableau[j][i] - tableau[j - 1][i - 1]),
+            )
+            if errt <= err:
+                err = errt
+                ans = tableau[j][i]
+        if abs(tableau[i][i] - tableau[i - 1][i - 1]) >= safe * err:
+            break
+    return float(ans), float(err)
 
 
 def _numeric_dT_dl(sol: ScatteringSolution) -> float:
@@ -309,4 +364,5 @@ def uncertainty_product(
         n_electrons=_check_count(N),
         dT_dl=derivative,
         dT_dl_method=method,
+        solution=sol,
     )

@@ -1,13 +1,14 @@
 """Independent numerical oracles used to validate the analytic solvers.
 
-Every closed-form quantity in this package (transmission coefficients,
-Airy values, transferred-flux integrals, analytic derivatives) is gated
-in the test suite against the machinery here, which shares no code with
-the implementations it checks: a many-slice transfer matrix, adaptive
-QUADPACK quadrature driving Airy integral representations, Ridders
-finite differences, and a high-order ODE integrator for interior
-wavefunctions.  The oracles were written and validated first; the
-analytic paths are accepted only where they agree.
+Every closed-form quantity in the tunnelnoise package (transmission
+coefficients, Airy values, transferred-flux integrals) is gated in the
+test suite against the machinery here, which shares no code with the
+implementations it checks: a many-slice transfer matrix, adaptive
+QUADPACK quadrature driving Airy integral representations, and a
+high-order ODE integrator for interior wavefunctions.  The oracles were
+written and validated first; the analytic paths are accepted only where
+they agree.  They need numpy and scipy, so they live with the tests and
+stay out of the package's import path.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
-from .errors import DomainError, RangeError, UsageError
-from .units import ELECTRON_MASS, HBAR
+from tunnelnoise.errors import DomainError, RangeError, UsageError
+from tunnelnoise.units import ELECTRON_MASS, HBAR
 
 __all__ = [
     "SlicedPotential",
     "transfer_matrix_T",
     "richardson_transmission",
-    "finite_diff",
     "adaptive_integral",
     "airy_quadrature",
     "airy_quadrature_scaled",
@@ -271,60 +271,6 @@ def richardson_transmission(
     T = t2 + (t2 - t1) / 3.0
     R = r2 + (r2 - r1) / 3.0
     return T, R, abs(t2 - t1) / 3.0
-
-
-# --------------------------------------------------------------------------
-# Ridders finite differences
-# --------------------------------------------------------------------------
-
-
-def finite_diff(
-    f: Callable[[float], float], x: float, rel_step: float = 1e-2
-) -> tuple[float, float]:
-    """Derivative of ``f`` at ``x`` by Ridders' polished central difference.
-
-    Starts from step ``rel_step * max(|x|, 1)`` and contracts it while
-    building a Neville extrapolation tableau; stops as soon as the error
-    estimate worsens, which keeps roundoff from contaminating the answer.
-
-    Returns
-    -------
-    (derivative, error_estimate) : tuple of float
-        The estimate is the spread of the best tableau entry and tracks
-        the true error well, including any noise floor in ``f`` itself.
-    """
-    if not rel_step > 0.0:
-        raise UsageError(f"rel_step must be positive, got {rel_step}")
-    con = 1.4
-    con2 = con * con
-    safe = 2.0
-    ntab = 10
-
-    # Relative to |x|; at exactly x = 0 the step is used as given.
-    hh = rel_step * abs(x) if x != 0.0 else rel_step
-    tableau = np.empty((ntab, ntab))
-    tableau[0, 0] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-    ans = tableau[0, 0]
-    err = math.inf
-    for i in range(1, ntab):
-        hh /= con
-        tableau[0, i] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-        fac = con2
-        for j in range(1, i + 1):
-            tableau[j, i] = (tableau[j - 1, i] * fac - tableau[j - 1, i - 1]) / (
-                fac - 1.0
-            )
-            fac *= con2
-            errt = max(
-                abs(tableau[j, i] - tableau[j - 1, i]),
-                abs(tableau[j, i] - tableau[j - 1, i - 1]),
-            )
-            if errt <= err:
-                err = errt
-                ans = tableau[j, i]
-        if abs(tableau[i, i] - tableau[i - 1, i - 1]) >= safe * err:
-            break
-    return float(ans), float(err)
 
 
 # --------------------------------------------------------------------------

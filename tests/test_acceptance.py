@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import richardson_transmission
 from tunnelnoise.airy import airy_all
 from tunnelnoise.cli import (
     OutputFormat,
@@ -23,7 +24,6 @@ from tunnelnoise.cli import (
 )
 from tunnelnoise.fluxes import Side, currents_at, jump_residuals
 from tunnelnoise.noise import ResonatorSpec, feasibility_lhs, shot_noise_current_psd
-from tunnelnoise.oracle import richardson_transmission
 from tunnelnoise.scattering import BarrierSpec, Family, solve
 from tunnelnoise.uncertainty import DerivativeMethod, dT_dl, uncertainty_product
 from tunnelnoise.units import ELECTRON_MASS, Energy
@@ -210,7 +210,7 @@ def test_criterion_05_currents_balance_everywhere(report):
         j_ref = sol.T * sol.incident_flux
         for frac in (-0.5, 0.1, 0.3, 0.5, 0.7, 0.9, 1.5):
             x = a + frac * width
-            side = Side.LEFT_LIMIT if x <= a else Side.BULK
+            side = Side.LEFT_LIMIT if x <= a else Side.RIGHT_LIMIT
             j = currents_at(sol, x, side).j
             worst_j = max(worst_j, abs(j - j_ref) / j_ref)
         h = 1e-5 * width
@@ -218,9 +218,9 @@ def test_criterion_05_currents_balance_everywhere(report):
         v_prime = slope / width
         for frac in (0.25, 0.5, 0.75):
             x = a + frac * width
-            lo = currents_at(sol, x - h, Side.BULK)
-            mid = currents_at(sol, x, Side.BULK)
-            hi = currents_at(sol, x + h, Side.BULK)
+            lo = currents_at(sol, x - h, Side.RIGHT_LIMIT)
+            mid = currents_at(sol, x, Side.RIGHT_LIMIT)
+            hi = currents_at(sol, x + h, Side.RIGHT_LIMIT)
             d_jp = (hi.j_p - lo.j_p) / (2.0 * h)
             d_jp2 = (hi.j_p2 - lo.j_p2) / (2.0 * h)
             rhs_p = -v_prime * mid.rho

@@ -4,9 +4,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import airy_quadrature, airy_quadrature_scaled
 from tunnelnoise.airy import airy_all, airy_scaled, _airy_maclaurin
 from tunnelnoise.errors import DomainError, RangeError
-from tunnelnoise.oracle import airy_quadrature, airy_quadrature_scaled
 
 mpmath.mp.dps = 40
 

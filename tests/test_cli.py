@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tunnelnoise
 from tunnelnoise.cli import main
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -203,9 +208,28 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
     assert fragment in err
 
 
-def test_domain_errors_exit_three(capsys):
-    code, _, err = run(capsys, "solve", "--E", "7")
-    assert code == 3 and "E < V0" in err
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["solve", "--E", "7"], "E < V0"),
+        (["sweep", "--barrier", "field", "--sweep", "phi", "--gap", "-1"], "gap"),
+        (["sweep", "--barrier", "field", "--sweep", "phi", "--gap", "0"], "gap"),
+        (["solve", "--barrier", "sym", "--gap", "150"], "underflow"),
+        (["solve", "--barrier", "sym", "--gap", "200"], "underflow"),
+        (["feasibility", "--gap", "150"], "underflow"),
+    ],
+    ids=[
+        "solve-E-above-V0",
+        "sweep-phi-negative-gap",
+        "sweep-phi-zero-gap",
+        "solve-sym-gap-150",
+        "solve-sym-gap-200",
+        "feasibility-gap-150",
+    ],
+)
+def test_domain_errors_exit_three(capsys, argv, fragment):
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and fragment in err
 
 
 def test_consistency_failure_exits_four(capsys):
@@ -361,3 +385,23 @@ def test_selftest_passes(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) >= 8
     assert all(line.startswith("PASS") for line in lines)
+
+
+# ------------------------------------------------------------ import cost
+
+
+def test_cli_import_loads_no_numeric_packages():
+    # A fresh interpreter: the test suite itself has numpy and scipy loaded.
+    src = str(Path(tunnelnoise.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, tunnelnoise.cli; "
+        "print(sorted({name.partition('.')[0] for name in sys.modules} "
+        "& {'numpy', 'scipy', 'mpmath'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

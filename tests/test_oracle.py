@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunnelnoise.errors import DomainError, UsageError
-from tunnelnoise.oracle import (
+from oracle import (
     SlicedPotential,
     adaptive_integral,
     airy_quadrature,
     airy_quadrature_scaled,
-    finite_diff,
     integrate_schrodinger,
     richardson_transmission,
     transfer_matrix_T,
 )
+from tunnelnoise.errors import DomainError, UsageError
+from tunnelnoise.uncertainty import finite_diff
 from tunnelnoise.units import ELECTRON_MASS, EV, HBAR, NM
 
 mpmath.mp.dps = 40

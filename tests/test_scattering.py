@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import integrate_schrodinger, richardson_transmission
 from tunnelnoise.airy import airy_all
 from tunnelnoise.errors import DomainError, UsageError
-from tunnelnoise.oracle import integrate_schrodinger, richardson_transmission
 from tunnelnoise.scattering import (
     PHI_DISPATCH_EV,
     BarrierSpec,
