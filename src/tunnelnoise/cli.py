@@ -190,7 +190,7 @@ def _point_values(config: SweepConfig, value: float) -> dict:
         "product": result.product_over_hbar,
     }
     if "s_fq" in config.outputs:
-        values["s_fq"] = quantum_force_psd(config.i0_a, energy, spec)
+        values["s_fq"] = quantum_force_psd(config.i0_a, result.solution)
     return values
 
 
@@ -372,7 +372,6 @@ def _solve_dump(
     barrier: BarrierSpec, energy: Energy, n_electrons: float, i0_a: float
 ) -> str:
     sol = solve(energy, barrier)
-    derivative = dT_dl(sol, DerivativeMethod.ANALYTIC)
     transferred = transferred_fluxes(sol)
     residuals = jump_residuals(sol)
     payload = {
@@ -413,12 +412,12 @@ def _solve_dump(
             "momentum_sq_right_edge": residuals.momentum_sq_right_edge,
             "worst": residuals.worst,
         },
-        "dT_dl_per_m": derivative,
+        "dT_dl_per_m": sol.dT_dl,
         "dT_dl_method": "analytic",
         "n_electrons": n_electrons,
     }
     try:
-        delta_l = position_uncertainty(sol, derivative, n_electrons)
+        delta_l = position_uncertainty(sol, sol.dT_dl, n_electrons)
         delta_p = momentum_uncertainty(transferred, sol, n_electrons)
         payload["uncertainty"] = {
             "delta_l_nm": delta_l.nm,
@@ -428,7 +427,7 @@ def _solve_dump(
     except DomainError as exc:
         payload["uncertainty"] = {"unavailable": str(exc)}
     if barrier.family is Family.SYMMETRIC_RECT:
-        payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, energy, barrier)
+        payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, sol)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -599,7 +598,7 @@ _CONFIG_CONVERTERS = {
     "E": float,
     "phi": float,
     "gap": float,
-    "sweep": str,
+    "sweep": SweepVariable,
     "min": float,
     "max": float,
     "steps": int,
@@ -611,7 +610,7 @@ _CONFIG_CONVERTERS = {
     "Q": float,
     "columns": str,
     "out": str,
-    "format": str,
+    "format": OutputFormat,
 }
 
 
@@ -714,7 +713,9 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
     )
     barrier = _barrier_from(args, "sym")
     energy = Energy.from_ev(_merged(args, "E", 1.0))
-    fmt_raw = _merged(args, "format", None)
+    # A blank format entry selects the text report, as a missing one does.
+    blank = args.format is None and args._config_entries.get("format") == ""
+    fmt_raw = None if blank else _merged(args, "format", None)
     fmt = OutputFormat(fmt_raw) if fmt_raw else None
     text = feasibility_report(
         _merged(args, "I0", 1e-6), resonator, barrier, energy, fmt

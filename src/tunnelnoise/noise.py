@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import transferred_fluxes
-from .scattering import BarrierSpec, Family, solve_symmetric
+from .scattering import BarrierSpec, Family, ScatteringSolution, solve
 from .uncertainty import momentum_uncertainty
 from .units import (
     BOLTZMANN,
@@ -119,6 +119,14 @@ class NoiseBudget:
     barrier: BarrierSpec
 
 
+def _check_symmetric(spec: BarrierSpec) -> None:
+    if spec.family is not Family.SYMMETRIC_RECT:
+        raise UsageError(
+            "quantum_force_psd needs the symmetric flat barrier; build the "
+            f"rectangular approximation explicitly (got {spec.family.value})"
+        )
+
+
 def _check_current(I0: float) -> float:
     try:
         current = float(I0)
@@ -129,13 +137,14 @@ def _check_current(I0: float) -> float:
     return current
 
 
-def quantum_force_psd(I0: float, E: Energy, spec: BarrierSpec) -> float:
+def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
     """Single-sided quantum force PSD of the tunneling readout, N^2/Hz.
 
-    Valid for the flat symmetric barrier (the operating regime treats
-    the junction as one; biased families must be approximated by their
-    rectangular equivalent explicitly by the caller).  Two routes are
-    evaluated: the closed form
+    ``sol`` is the solved state of the operating point.  Valid for the
+    flat symmetric barrier (the operating regime treats the junction as
+    one; biased families must be approximated by their rectangular
+    equivalent explicitly by the caller).  Two routes are evaluated: the
+    closed form
 
         ``(I0/e) hbar^2 k^2 (1/2) [ (1+(k0/k)^2)^2 - (1-(k0/k)^2)^2 (1-T) ]``
 
@@ -144,16 +153,11 @@ def quantum_force_psd(I0: float, E: Energy, spec: BarrierSpec) -> float:
     ``1/T`` attempts).  They must agree to 1e-10 relative.
     """
     current = _check_current(I0)
-    if spec.family is not Family.SYMMETRIC_RECT:
-        raise UsageError(
-            "quantum_force_psd needs the symmetric flat barrier; build the "
-            f"rectangular approximation explicitly (got {spec.family.value})"
-        )
-    sol = solve_symmetric(E, spec)
+    _check_symmetric(sol.barrier)
     if sol.T == 0.0:
         raise DomainError(
             "transmission underflows to 0 at this gap "
-            f"({spec.gap.nm!r} nm); the kick-variance route needs 1/T "
+            f"({sol.barrier.gap.nm!r} nm); the kick-variance route needs 1/T "
             "attempts per conducted electron"
         )
     k = sol.k.per_meter
@@ -249,7 +253,8 @@ def noise_budget(
     relation.
     """
     current = _check_current(I0)
-    s_fq = quantum_force_psd(current, E, spec)
+    _check_symmetric(spec)
+    s_fq = quantum_force_psd(current, solve(E, spec))
     s_fl = langevin_force_psd(res)
     return NoiseBudget(
         s_fq=s_fq,

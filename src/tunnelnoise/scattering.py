@@ -228,6 +228,10 @@ class ScatteringSolution:
         opaque barriers; ``eval_wavefunction`` does not use them.
     T, R : float
         Transmission and reflection probabilities, ``T + R = 1``.
+    dT_dl : float
+        Gap derivative of ``T`` at fixed energy, height and bias, 1/m,
+        differentiated from the solver's own closed forms (exact to
+        rounding).
     k, k_bar, k0 : Wavenumber
         Incident, transmitted, and evanescent wavenumbers (``k_bar = k``
         for the symmetric shape).
@@ -245,6 +249,7 @@ class ScatteringSolution:
     c_minus: complex
     T: float
     R: float
+    dT_dl: float
     k: Wavenumber
     k_bar: Wavenumber
     k0: Wavenumber
@@ -332,6 +337,15 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     T = min(1.0, (k_bar / k) * (abs(t_anchored) ** 2) * m2)
     R = min(1.0, abs(r) ** 2)
 
+    # Gap derivative: T = (k_bar/k) 16 k^2 k0^2 m2 / G with
+    # G = k0^2 (k+k_bar)^2 (1+m2)^2 + (k0^2 - k k_bar)^2 (1-m2)^2,
+    # so dT/dl = T (-2 k0 - G'/G).
+    grow = k0**2 * (k + k_bar) ** 2
+    decay = (k0**2 - k * k_bar) ** 2
+    g = grow * one_p**2 + decay * one_m**2
+    g_prime = -4.0 * k0 * m2 * (grow * one_p - decay * one_m)
+    dT_dl = T * (-2.0 * k0 - g_prime / g)
+
     phase_b = cmath.exp(1j * k_bar * b)
     g_plus = 0.5 * t * phase_b * complex(1.0, k_bar / k0)
     g_minus = 0.5 * t_anchored * phase_b * complex(1.0, -k_bar / k0)
@@ -343,6 +357,7 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         c_minus=_saturating_scale(g_minus, k0 * a),
         T=T,
         R=R,
+        dT_dl=dT_dl,
         k=Wavenumber(k),
         k_bar=Wavenumber(k_bar),
         k0=Wavenumber(k0),
@@ -467,6 +482,44 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     )
     R = min(1.0, abs(r) ** 2)
 
+    # Gap derivative.  All gap dependence enters through kappa ~ l^(-1/3)
+    # and the edge arguments a_bar, b_bar ~ l^(2/3), so d a_bar/dl =
+    # (2/3) a_bar/l, likewise at b, and d(delta_zeta)/dl = delta_zeta/l.
+    # The scaled Airy values differentiate through ai_s' = ai_s_prime +
+    # sqrt(z) ai_s (growth factored out; the sqrt(z) terms drop for the
+    # unscaled pair used when the turning point sits inside the gap).
+    root_a = math.sqrt(a_bar)
+    d_ai_a = quad_a.ai_prime + root_a * quad_a.ai
+    d_aip_a = a_bar * quad_a.ai + root_a * quad_a.ai_prime
+    d_bi_a = quad_a.bi_prime - root_a * quad_a.bi
+    d_bip_a = a_bar * quad_a.bi - root_a * quad_a.bi_prime
+    if b_bar > 0.0:
+        root_b = math.sqrt(b_bar)
+        d_ai_b = quad_b.ai_prime + root_b * quad_b.ai
+        d_aip_b = b_bar * quad_b.ai + root_b * quad_b.ai_prime
+        d_bi_b = quad_b.bi_prime - root_b * quad_b.bi
+        d_bip_b = b_bar * quad_b.bi - root_b * quad_b.bi_prime
+    else:
+        d_ai_b = quad_b.ai_prime
+        d_aip_b = b_bar * quad_b.ai
+        d_bi_b = quad_b.bi_prime
+        d_bip_b = b_bar * quad_b.bi
+
+    dkappa = -kappa / (3.0 * length)
+    da_bar = (2.0 / 3.0) * a_bar / length
+    db_bar = (2.0 / 3.0) * b_bar / length
+    dp_a = dkappa * quad_a.ai_prime + (kappa * d_aip_a - 1j * k * d_ai_a) * da_bar
+    dq_a = dkappa * quad_a.bi_prime + (kappa * d_bip_a - 1j * k * d_bi_a) * da_bar
+    dp_b = dkappa * quad_b.ai_prime + (kappa * d_aip_b + 1j * k_bar * d_ai_b) * db_bar
+    dq_b = dkappa * quad_b.bi_prime + (kappa * d_bip_b + 1j * k_bar * d_bi_b) * db_bar
+    ddzeta = delta_zeta / length
+    df = (
+        -2.0 * ddzeta * damp2 * p_a * q_b
+        + damp2 * (dp_a * q_b + p_a * dq_b)
+        - (dq_a * p_b + q_a * dp_b)
+    )
+    dT_dl = T * (-2.0 / (3.0 * length) - 2.0 * ddzeta - 2.0 * (df / f_tilde).real)
+
     g_ai = -2j * k * cmath.exp(1j * k * a) * q_b / f_tilde
     g_bi = 2j * k * cmath.exp(1j * k * a) * p_b / f_tilde
 
@@ -477,6 +530,7 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         c_minus=_saturating_scale(g_bi, -zeta_a),
         T=T,
         R=R,
+        dT_dl=dT_dl,
         k=Wavenumber(k),
         k_bar=Wavenumber(k_bar),
         k0=Wavenumber(k0),

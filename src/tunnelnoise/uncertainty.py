@@ -8,8 +8,9 @@ of the momentum actually delivered to the wall gives the disturbance
 ``delta_p``.  For the flat symmetric barrier the pair saturates the
 Heisenberg bound exactly; the biased families land above it.
 
-The gap derivative of the transmission has two routes: closed forms
-differentiated from the solver's own representation (default), and
+The gap derivative of the transmission has two routes.  The solver
+differentiates its own closed forms while it solves and stores the
+result as ``ScatteringSolution.dT_dl`` (default); the other route is
 Richardson-extrapolated central differences re-solving at displaced
 gaps under Ridders' scheme (``finite_diff``).  The closed forms are exact
 to rounding, which the bound checks need; the numeric route is kept as
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .airy import airy_all, airy_scaled
 from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import TransferredFluxes, transferred_fluxes
 from .scattering import BarrierSpec, ScatteringSolution, solve
@@ -65,9 +65,8 @@ class UncertaintyResult:
         Batch size N the pair was evaluated at (the product is
         N-independent).
     dT_dl : float
-        Gap derivative of the transmission, 1/m.
-    dT_dl_method : DerivativeMethod
-        Route that produced ``dT_dl``.
+        Gap derivative of the transmission, 1/m (the solver's closed
+        form).
     solution : ScatteringSolution
         The solved state the pair was built from (``T``, ``R`` and the
         amplitudes).
@@ -78,7 +77,6 @@ class UncertaintyResult:
     product_over_hbar: float
     n_electrons: float
     dT_dl: float
-    dT_dl_method: DerivativeMethod
     solution: ScatteringSolution
 
 
@@ -102,91 +100,6 @@ def _check_count(N: float) -> float:
     if not math.isfinite(n) or n < 1.0:
         raise DomainError(f"electron count must be >= 1, got {N!r}")
     return n
-
-
-def _rect_dT_dl(sol: ScatteringSolution) -> float:
-    """Gap derivative for a flat interior (both rectangular families and
-    tilted barriers dispatched at negligible bias).
-
-    With ``m2 = exp(-2 k0 l)`` the transmission is ``T = (k_bar/k)
-    * 16 k^2 k0^2 m2 / G`` where ``G = k0^2 (k+k_bar)^2 (1+m2)^2 +
-    (k0^2 - k k_bar)^2 (1-m2)^2``, so ``dT/dl = T (-2 k0 - G'/G)``.
-    """
-    k = sol.k.per_meter
-    k_bar = sol.k_bar.per_meter
-    k0 = sol.k0.per_meter
-    u = k0 * sol.barrier.gap.meters
-    m2 = math.exp(-2.0 * u)
-    grow = k0**2 * (k + k_bar) ** 2
-    decay = (k0**2 - k * k_bar) ** 2
-    g = grow * (1.0 + m2) ** 2 + decay * (1.0 - m2) ** 2
-    g_prime = -4.0 * k0 * m2 * (grow * (1.0 + m2) - decay * (1.0 - m2))
-    return sol.T * (-2.0 * k0 - g_prime / g)
-
-
-def _tilted_dT_dl(sol: ScatteringSolution) -> float:
-    """Gap derivative for the genuine tilted interior.
-
-    All gap dependence enters through ``kappa ~ l^(-1/3)`` and the edge
-    arguments ``a_bar, b_bar ~ l^(2/3)``, so ``d a_bar/dl = (2/3)
-    a_bar/l``, likewise at b, and the exponent difference obeys
-    ``d(dzeta)/dl = dzeta/l``.  The scaled Airy values differentiate
-    through ``ai_s' = ai_s_prime + sqrt(z) ai_s`` (growth factored out;
-    the ``sqrt(z)`` terms drop for the unscaled pair used when the
-    turning point sits inside the gap).
-    """
-    inner = sol.interior
-    k = sol.k.per_meter
-    k_bar = sol.k_bar.per_meter
-    kappa = inner.alpha_cbrt
-    gap = sol.barrier.gap.meters
-    a_bar = inner.a_bar
-    b_bar = inner.b_bar
-    dzeta = inner.delta_zeta
-
-    quad_a, _ = airy_scaled(a_bar)
-    root_a = math.sqrt(a_bar)
-    d_ai_a = quad_a.ai_prime + root_a * quad_a.ai
-    d_aip_a = a_bar * quad_a.ai + root_a * quad_a.ai_prime
-    d_bi_a = quad_a.bi_prime - root_a * quad_a.bi
-    d_bip_a = a_bar * quad_a.bi - root_a * quad_a.bi_prime
-
-    if b_bar > 0.0:
-        quad_b, _ = airy_scaled(b_bar)
-        root_b = math.sqrt(b_bar)
-        d_ai_b = quad_b.ai_prime + root_b * quad_b.ai
-        d_aip_b = b_bar * quad_b.ai + root_b * quad_b.ai_prime
-        d_bi_b = quad_b.bi_prime - root_b * quad_b.bi
-        d_bip_b = b_bar * quad_b.bi - root_b * quad_b.bi_prime
-    else:
-        quad_b = airy_all(b_bar)
-        d_ai_b = quad_b.ai_prime
-        d_aip_b = b_bar * quad_b.ai
-        d_bi_b = quad_b.bi_prime
-        d_bip_b = b_bar * quad_b.bi
-
-    p_a = kappa * quad_a.ai_prime - 1j * k * quad_a.ai
-    q_a = kappa * quad_a.bi_prime - 1j * k * quad_a.bi
-    p_b = kappa * quad_b.ai_prime + 1j * k_bar * quad_b.ai
-    q_b = kappa * quad_b.bi_prime + 1j * k_bar * quad_b.bi
-
-    dkappa = -kappa / (3.0 * gap)
-    da_bar = (2.0 / 3.0) * a_bar / gap
-    db_bar = (2.0 / 3.0) * b_bar / gap
-    dp_a = dkappa * quad_a.ai_prime + (kappa * d_aip_a - 1j * k * d_ai_a) * da_bar
-    dq_a = dkappa * quad_a.bi_prime + (kappa * d_bip_a - 1j * k * d_bi_a) * da_bar
-    dp_b = dkappa * quad_b.ai_prime + (kappa * d_aip_b + 1j * k_bar * d_ai_b) * db_bar
-    dq_b = dkappa * quad_b.bi_prime + (kappa * d_bip_b + 1j * k_bar * d_bi_b) * db_bar
-
-    damp2 = math.exp(-2.0 * dzeta) if dzeta <= 350.0 else 0.0
-    f_tilde = damp2 * p_a * q_b - q_a * p_b
-    ddzeta = dzeta / gap
-    df = (
-        -2.0 * ddzeta * damp2 * p_a * q_b
-        + damp2 * (dp_a * q_b + p_a * dq_b)
-        - (dq_a * p_b + q_a * dp_b)
-    )
-    return sol.T * (-2.0 / (3.0 * gap) - 2.0 * ddzeta - 2.0 * (df / f_tilde).real)
 
 
 def finite_diff(
@@ -257,8 +170,9 @@ def dT_dl(
 ) -> float:
     """Gap derivative of the transmission at fixed energy, height, bias.
 
-    ``analytic`` differentiates the solver's closed forms (exact to
-    rounding), ``numeric`` re-solves at displaced gaps under a
+    ``analytic`` returns ``sol.dT_dl``, which the solver computed by
+    differentiating its own closed forms (exact to rounding);
+    ``numeric`` re-solves at displaced gaps under a
     Richardson-extrapolated central difference with relative step 1e-6,
     ``both`` returns the numeric value after asserting the routes agree
     to 1e-6 relative (disagreement raises the consistency error naming
@@ -266,10 +180,10 @@ def dT_dl(
     """
     method = _coerce_method(method)
     if method is DerivativeMethod.ANALYTIC:
-        return _analytic_dT_dl(sol)
+        return sol.dT_dl
     numeric = _numeric_dT_dl(sol)
     if method is DerivativeMethod.BOTH:
-        analytic = _analytic_dT_dl(sol)
+        analytic = sol.dT_dl
         scale = max(abs(analytic), abs(numeric))
         if scale > 0.0 and abs(analytic - numeric) > 1e-6 * scale:
             raise ConsistencyError(
@@ -277,12 +191,6 @@ def dT_dl(
                 f"relative: analytic {analytic!r}, numeric {numeric!r}"
             )
     return numeric
-
-
-def _analytic_dT_dl(sol: ScatteringSolution) -> float:
-    if sol.tilted_interior:
-        return _tilted_dT_dl(sol)
-    return _rect_dT_dl(sol)
 
 
 def position_uncertainty(
@@ -341,10 +249,7 @@ def momentum_uncertainty(
 
 
 def uncertainty_product(
-    E: Energy,
-    spec: BarrierSpec,
-    N: float = 1.0,
-    method: "DerivativeMethod | str" = DerivativeMethod.ANALYTIC,
+    E: Energy, spec: BarrierSpec, N: float = 1.0
 ) -> UncertaintyResult:
     """Full pipeline: solve, form wall fluxes, return the pair.
 
@@ -352,17 +257,14 @@ def uncertainty_product(
     (position tightens, momentum spreads); the symmetric flat barrier
     sits at exactly 1/2.
     """
-    method = _coerce_method(method)
     sol = solve(E, spec)
-    derivative = dT_dl(sol, method)
-    delta_l = position_uncertainty(sol, derivative, N)
+    delta_l = position_uncertainty(sol, sol.dT_dl, N)
     delta_p = momentum_uncertainty(transferred_fluxes(sol), sol, N)
     return UncertaintyResult(
         delta_l=delta_l,
         delta_p=delta_p,
         product_over_hbar=delta_l.meters * delta_p / HBAR,
         n_electrons=_check_count(N),
-        dT_dl=derivative,
-        dT_dl_method=method,
+        dT_dl=sol.dT_dl,
         solution=sol,
     )

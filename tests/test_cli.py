@@ -199,6 +199,8 @@ def test_json_and_csv_agree_on_row_values(capsys):
         (["sweep", "--sweep", "E", "--min", "1", "--max", "7"], "E sweep max"),
         (["sweep", "--sweep", "gap", "--min", "-0.5", "--max", "1"], "gap"),
         (["sweep", "--N", "0.5"], "N"),
+        (["feasibility", "--barrier", "field", "--E", "6"], "symmetric"),
+        (["feasibility", "--barrier", "asym", "--phi", "1", "--E", "6"], "symmetric"),
     ],
 )
 def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
@@ -292,6 +294,8 @@ def test_config_file_seeds_defaults_and_flags_override(capsys, tmp_path):
         ("stepz = 4\n", "stepz"),
         ("steps = four\n", "not a valid int"),
         ("steps 4\n", "key=value"),
+        ("sweep = foo\n", "sweep='foo'"),
+        ("format = xml\n", "format='xml'"),
     ],
 )
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, content, fragment):
@@ -342,6 +346,18 @@ def test_feasibility_json_payload(capsys):
     assert data["s_fq_n2_per_hz"] > data["s_fl_n2_per_hz"]
     again = json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert again == out
+
+
+@pytest.mark.parametrize(
+    "entry, code, start",
+    [("xml", 2, ""), ("csv", 0, "tunnel current"), ("", 0, "tunnel current")],
+)
+def test_feasibility_config_format_entry(capsys, tmp_path, entry, code, start):
+    conf = tmp_path / "feas.conf"
+    conf.write_text(f"format = {entry}\n")
+    got, out, err = run(capsys, "feasibility", "--config", str(conf))
+    assert got == code and out.startswith(start)
+    assert ("format=" in err) == (code == 2)
 
 
 # ------------------------------------------------------------- solve

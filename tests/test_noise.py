@@ -19,7 +19,7 @@ from tunnelnoise.noise import (
     shot_noise_current_psd,
     tunnel_resistance,
 )
-from tunnelnoise.scattering import BarrierSpec
+from tunnelnoise.scattering import BarrierSpec, solve
 from tunnelnoise.units import (
     ELEMENTARY_CHARGE,
     HBAR,
@@ -42,7 +42,7 @@ def test_quantum_psd_routes_agree_across_random_cases():
         e = rng.uniform(0.05, 0.95) * v0
         gap = rng.uniform(0.1, 1.5)
         value = quantum_force_psd(
-            1e-6, Energy.from_ev(e), BarrierSpec.symmetric(v0, gap)
+            1e-6, solve(Energy.from_ev(e), BarrierSpec.symmetric(v0, gap))
         )
         assert value > 0.0
 
@@ -55,7 +55,7 @@ def test_quantum_psd_opaque_limit_value():
     e = Energy.from_ev(1.0)
     k0 = wavenumber_evanescent(spec.V0.joules, e.joules)
     limit = 2.0 * (1e-6 / ELEMENTARY_CHARGE) * HBAR**2 * k0**2
-    got = quantum_force_psd(1e-6, e, spec)
+    got = quantum_force_psd(1e-6, solve(e, spec))
     assert got == pytest.approx(limit, rel=1e-6)
     assert limit == pytest.approx(1.39e-35 * (k0 / 1e10) ** 2, rel=0.01)
 
@@ -63,21 +63,23 @@ def test_quantum_psd_opaque_limit_value():
 def test_quantum_psd_linear_in_current():
     e = Energy.from_ev(1.0)
     spec = BarrierSpec.symmetric(5.0, 0.5)
-    one = quantum_force_psd(1e-6, e, spec)
-    two = quantum_force_psd(2e-6, e, spec)
+    one = quantum_force_psd(1e-6, solve(e, spec))
+    two = quantum_force_psd(2e-6, solve(e, spec))
     assert two == pytest.approx(2.0 * one, rel=1e-14)
 
 
 def test_quantum_psd_rejects_bad_inputs():
     e = Energy.from_ev(1.0)
     with pytest.raises(UsageError):
-        quantum_force_psd(1e-6, e, BarrierSpec.linear_field(5.0, 1.0, 0.5))
+        quantum_force_psd(1e-6, solve(e, BarrierSpec.linear_field(5.0, 1.0, 0.5)))
     with pytest.raises(DomainError):
-        quantum_force_psd(1e-6, Energy.from_ev(6.0), BarrierSpec.symmetric(5.0, 0.5))
+        quantum_force_psd(
+            1e-6, solve(Energy.from_ev(6.0), BarrierSpec.symmetric(5.0, 0.5))
+        )
     with pytest.raises(DomainError):
-        quantum_force_psd(0.0, e, BarrierSpec.symmetric(5.0, 0.5))
+        quantum_force_psd(0.0, solve(e, BarrierSpec.symmetric(5.0, 0.5)))
     with pytest.raises(DomainError):
-        quantum_force_psd(-1e-6, e, BarrierSpec.symmetric(5.0, 0.5))
+        quantum_force_psd(-1e-6, solve(e, BarrierSpec.symmetric(5.0, 0.5)))
 
 
 # ----------------------------------------------------- langevin_force_psd

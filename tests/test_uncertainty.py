@@ -289,9 +289,8 @@ def test_asymmetric_product_near_minimum():
 def test_result_records_provenance():
     e = Energy.from_ev(1.0)
     spec = BarrierSpec.symmetric(5.0, 0.5)
-    res = uncertainty_product(e, spec, N=3.0, method="numeric")
+    res = uncertainty_product(e, spec, N=3.0)
     assert isinstance(res, UncertaintyResult)
-    assert res.dT_dl_method is DerivativeMethod.NUMERIC
     assert res.n_electrons == 3.0
     assert res.dT_dl < 0.0
     assert res.delta_l.meters > 0.0
