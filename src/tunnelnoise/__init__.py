@@ -15,17 +15,15 @@ from .errors import (
     TunnelNoiseError,
     UsageError,
 )
-from .units import CONSTANTS, Energy, Length, PhysicalConstants, Wavenumber
+from .units import Energy, Length, Wavenumber
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "ConsistencyError",
     "DomainError",
     "Energy",
     "Length",
-    "PhysicalConstants",
     "RangeError",
     "TunnelNoiseError",
     "UsageError",

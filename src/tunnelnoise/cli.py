@@ -12,8 +12,9 @@ file (``--config``); explicit flags override file entries.  All output is
 deterministic: no timestamps, fixed formatting (12 significant digits in
 CSV, shortest round-trip floats in JSON), fixed key ordering.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 internal
-consistency failure (including selftest failures).
+Exit codes: 0 success, 2 usage error, 3 domain error (including
+arithmetic overflow), 4 internal consistency failure (including selftest
+failures).
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ class SweepConfig:
     outputs: tuple[str, ...]
     n_electrons: float
     i0_a: float
-    fmt: OutputFormat
-    out_path: "str | None"
 
     def __post_init__(self) -> None:
         if self.steps < 2:
@@ -195,9 +194,7 @@ def _point_values(config: SweepConfig, value: float) -> dict:
 
 
 def _zero_bias_product(config: SweepConfig) -> float:
-    spec = _barrier_spec(config.family, config.v0_ev, 0.0, config.gap_nm)
-    energy = Energy.from_ev(config.e_ev)
-    product = uncertainty_product(energy, spec, config.n_electrons).product_over_hbar
+    product = _point_values(config, 0.0)["product"]
     if not math.isfinite(product):
         raise DomainError(f"column product is not finite at {config.gap_nm!r}")
     return product
@@ -293,9 +290,12 @@ def _format_json(config: SweepConfig, rows, summary) -> str:
 def _emit(text: str, out_path: "str | None") -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {out_path!r}: {exc}") from None
 
 
 def feasibility_report(
@@ -417,7 +417,7 @@ def _solve_dump(
         "n_electrons": n_electrons,
     }
     try:
-        delta_l = position_uncertainty(sol, sol.dT_dl, n_electrons)
+        delta_l = position_uncertainty(sol, n_electrons)
         delta_p = momentum_uncertainty(transferred, sol, n_electrons)
         payload["uncertainty"] = {
             "delta_l_nm": delta_l.nm,
@@ -481,10 +481,7 @@ def _selftest() -> int:
     )
 
     worst_wronskian = max(
-        abs(
-            (lambda q: q.ai * q.bi_prime - q.ai_prime * q.bi)(airy_all(z))
-            - 1.0 / math.pi
-        )
+        abs(airy_all(z).wronskian - 1.0 / math.pi)
         for z in (-20.0, -5.0, 0.0, 2.0, 8.0, 30.0)
     )
     check(
@@ -679,6 +676,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SweepVariable.GAP: (0.1, 2.0),
         SweepVariable.ENERGY: (0.2, 4.5),
     }[variable]
+    fmt = OutputFormat(_merged(args, "format", "csv"))
     config = SweepConfig(
         family=family,
         v0_ev=_merged(args, "V0", 5.0),
@@ -692,15 +690,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         outputs=outputs,
         n_electrons=_merged(args, "N", 1.0),
         i0_a=_merged(args, "I0", 1e-6),
-        fmt=OutputFormat(_merged(args, "format", "csv")),
-        out_path=_merged(args, "out", None),
     )
     rows, summary = run_sweep(config)
-    if config.fmt is OutputFormat.CSV:
+    if fmt is OutputFormat.CSV:
         text = _format_csv(config, rows, summary)
     else:
         text = _format_json(config, rows, summary)
-    _emit(text, config.out_path)
+    _emit(text, _merged(args, "out", None))
     return 0
 
 
@@ -751,6 +747,11 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # An overflow, or a division by an underflowed value, that no
+        # domain check anticipated.
+        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -493,17 +493,11 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     d_aip_a = a_bar * quad_a.ai + root_a * quad_a.ai_prime
     d_bi_a = quad_a.bi_prime - root_a * quad_a.bi
     d_bip_a = a_bar * quad_a.bi - root_a * quad_a.bi_prime
-    if b_bar > 0.0:
-        root_b = math.sqrt(b_bar)
-        d_ai_b = quad_b.ai_prime + root_b * quad_b.ai
-        d_aip_b = b_bar * quad_b.ai + root_b * quad_b.ai_prime
-        d_bi_b = quad_b.bi_prime - root_b * quad_b.bi
-        d_bip_b = b_bar * quad_b.bi - root_b * quad_b.bi_prime
-    else:
-        d_ai_b = quad_b.ai_prime
-        d_aip_b = b_bar * quad_b.ai
-        d_bi_b = quad_b.bi_prime
-        d_bip_b = b_bar * quad_b.bi
+    root_b = math.sqrt(b_bar) if b_bar > 0.0 else 0.0
+    d_ai_b = quad_b.ai_prime + root_b * quad_b.ai
+    d_aip_b = b_bar * quad_b.ai + root_b * quad_b.ai_prime
+    d_bi_b = quad_b.bi_prime - root_b * quad_b.bi
+    d_bip_b = b_bar * quad_b.bi - root_b * quad_b.bi_prime
 
     dkappa = -kappa / (3.0 * length)
     da_bar = (2.0 / 3.0) * a_bar / length

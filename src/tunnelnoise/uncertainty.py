@@ -64,19 +64,15 @@ class UncertaintyResult:
     n_electrons : float
         Batch size N the pair was evaluated at (the product is
         N-independent).
-    dT_dl : float
-        Gap derivative of the transmission, 1/m (the solver's closed
-        form).
     solution : ScatteringSolution
-        The solved state the pair was built from (``T``, ``R`` and the
-        amplitudes).
+        The solved state the pair was built from (``T``, ``R``, the gap
+        derivative ``dT_dl`` and the amplitudes).
     """
 
     delta_l: Length
     delta_p: float
     product_over_hbar: float
     n_electrons: float
-    dT_dl: float
     solution: ScatteringSolution
 
 
@@ -193,17 +189,17 @@ def dT_dl(
     return numeric
 
 
-def position_uncertainty(
-    sol: ScatteringSolution, dT_dl: float, N: float = 1.0
-) -> Length:
+def position_uncertainty(sol: ScatteringSolution, N: float = 1.0) -> Length:
     """Position resolution from counting N transmitted electrons.
 
-    ``delta_l = sqrt(T R / N) / |dT/dl|``.  A vanishing derivative
-    means the count carries no first-order gap information; inverting
-    it would need the second-order expansion, which is out of scope, so
-    that input is rejected.
+    ``delta_l = sqrt(T R / N) / |dT/dl|`` with the solver's gap
+    derivative ``sol.dT_dl``.  A vanishing derivative means the count
+    carries no first-order gap information; inverting it would need the
+    second-order expansion, which is out of scope, so that input is
+    rejected.
     """
     n = _check_count(N)
+    dT_dl = sol.dT_dl
     if not math.isfinite(dT_dl):
         raise DomainError(f"transmission derivative must be finite, got {dT_dl!r}")
     if dT_dl == 0.0:
@@ -258,13 +254,12 @@ def uncertainty_product(
     sits at exactly 1/2.
     """
     sol = solve(E, spec)
-    delta_l = position_uncertainty(sol, sol.dT_dl, N)
+    delta_l = position_uncertainty(sol, N)
     delta_p = momentum_uncertainty(transferred_fluxes(sol), sol, N)
     return UncertaintyResult(
         delta_l=delta_l,
         delta_p=delta_p,
         product_over_hbar=delta_l.meters * delta_p / HBAR,
         n_electrons=_check_count(N),
-        dT_dl=sol.dT_dl,
         solution=sol,
     )

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
     "HBAR",
     "ELECTRON_MASS",
     "ELEMENTARY_CHARGE",
@@ -32,39 +30,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in SI units (CODATA 2018).
-
-    Attributes
-    ----------
-    hbar : float
-        Reduced Planck constant, J s.
-    electron_mass : float
-        Electron rest mass, kg.
-    elementary_charge : float
-        Elementary charge, C (exact since the 2019 SI redefinition).
-    boltzmann : float
-        Boltzmann constant, J/K (exact).
-    """
-
-    hbar: float = 1.054571817e-34
-    electron_mass: float = 9.1093837015e-31
-    elementary_charge: float = 1.602176634e-19
-    boltzmann: float = 1.380649e-23
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "electron_mass", "elementary_charge", "boltzmann"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"physical constant {name} must be positive")
-
-
-CONSTANTS = PhysicalConstants()
-
-HBAR = CONSTANTS.hbar
-ELECTRON_MASS = CONSTANTS.electron_mass
-ELEMENTARY_CHARGE = CONSTANTS.elementary_charge
-BOLTZMANN = CONSTANTS.boltzmann
+# CODATA 2018 values in SI units.
+HBAR = 1.054571817e-34  # reduced Planck constant, J s
+ELECTRON_MASS = 9.1093837015e-31  # electron rest mass, kg
+ELEMENTARY_CHARGE = 1.602176634e-19  # elementary charge, C (exact in the 2019 SI)
+BOLTZMANN = 1.380649e-23  # Boltzmann constant, J/K (exact)
 
 # 1 eV in joules equals the elementary charge in coulombs.
 EV = ELEMENTARY_CHARGE
@@ -122,31 +92,31 @@ class Wavenumber:
     per_meter: float
 
 
-def wavenumber_free(energy_j: float, mass: float = ELECTRON_MASS) -> float:
-    """Wavenumber of a free particle, k = sqrt(2 m E) / hbar.
+def wavenumber_free(energy_j: float) -> float:
+    """Wavenumber of a free electron, k = sqrt(2 m E) / hbar.
 
     Parameters
     ----------
     energy_j : float
         Kinetic energy in joules, must be positive.
-    mass : float
-        Particle mass in kg; defaults to the electron mass.
 
     Returns
     -------
     float
-        Wavenumber in 1/m.
+        Wavenumber in 1/m.  An energy so small that ``k`` underflows to
+        zero raises the range error: every caller divides by ``k``.
     """
     if not energy_j > 0.0:
         raise DomainError(
             f"free wavenumber needs a positive energy, got {energy_j} J"
         )
-    return math.sqrt(2.0 * mass * energy_j) / HBAR
+    k = math.sqrt(2.0 * ELECTRON_MASS * energy_j) / HBAR
+    if k == 0.0:
+        raise RangeError(f"free wavenumber underflows to zero at E = {energy_j} J")
+    return k
 
 
-def wavenumber_evanescent(
-    barrier_j: float, energy_j: float, mass: float = ELECTRON_MASS
-) -> float:
+def wavenumber_evanescent(barrier_j: float, energy_j: float) -> float:
     """Decay constant under a barrier, k0 = sqrt(2 m (V0 - E)) / hbar.
 
     Parameters
@@ -154,10 +124,8 @@ def wavenumber_evanescent(
     barrier_j : float
         Barrier height V0 in joules.
     energy_j : float
-        Particle energy E in joules; must satisfy E < V0 (tunneling regime,
+        Electron energy E in joules; must satisfy E < V0 (tunneling regime,
         above-barrier transport is out of scope).
-    mass : float
-        Particle mass in kg; defaults to the electron mass.
 
     Returns
     -------
@@ -169,4 +137,4 @@ def wavenumber_evanescent(
             "evanescent wavenumber needs E < V0, got "
             f"E = {energy_j} J, V0 = {barrier_j} J"
         )
-    return math.sqrt(2.0 * mass * (barrier_j - energy_j)) / HBAR
+    return math.sqrt(2.0 * ELECTRON_MASS * (barrier_j - energy_j)) / HBAR

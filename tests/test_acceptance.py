@@ -16,7 +16,6 @@ import pytest
 from oracle import richardson_transmission
 from tunnelnoise.airy import airy_all
 from tunnelnoise.cli import (
-    OutputFormat,
     SweepConfig,
     SweepVariable,
     main,
@@ -120,8 +119,6 @@ def test_criterion_03_bias_sweep_grows_monotonically(report):
         outputs=("delta_p", "product"),
         n_electrons=1.0,
         i0_a=1e-6,
-        fmt=OutputFormat.CSV,
-        out_path=None,
     )
     start = time.perf_counter()
     rows, summary = run_sweep(config)

@@ -219,6 +219,11 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         (["solve", "--barrier", "sym", "--gap", "150"], "underflow"),
         (["solve", "--barrier", "sym", "--gap", "200"], "underflow"),
         (["feasibility", "--gap", "150"], "underflow"),
+        (["solve", "--E", "1e-300"], "underflows to zero"),
+        (["solve", "--V0", "1e-300", "--E", "1e-301"], "underflows to zero"),
+        (["solve", "--barrier", "field", "--phi", "1", "--E", "1e-300"], "underflows"),
+        (["solve", "--V0", "1e300", "--E", "1"], "OverflowError"),
+        (["feasibility", "--I0", "1e-320"], "ZeroDivisionError"),
     ],
     ids=[
         "solve-E-above-V0",
@@ -227,11 +232,37 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "solve-sym-gap-150",
         "solve-sym-gap-200",
         "feasibility-gap-150",
+        "solve-E-underflows-k",
+        "solve-V0-and-E-underflow-k",
+        "solve-field-E-underflows-k",
+        "solve-V0-overflows-k0-squared",
+        "feasibility-I0-underflows-s-fq",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
     code, _, err = run(capsys, *argv)
     assert code == 3 and fragment in err
+
+
+def test_sweep_skips_the_row_whose_wavenumber_underflows(capsys):
+    code, out, _ = run(
+        capsys,
+        "sweep",
+        "--barrier",
+        "field",
+        "--sweep",
+        "E",
+        "--min",
+        "1e-300",
+        "--max",
+        "4",
+        "--steps",
+        "3",
+    )
+    assert code == 0
+    _, _, rows, footer = parse_csv(out)
+    assert [row[0] for row in rows] == [2.0, 4.0]
+    assert footer == ["# skipped_rows: 1"]
 
 
 def test_consistency_failure_exits_four(capsys):
@@ -390,6 +421,30 @@ def test_solve_writes_to_file(capsys, tmp_path):
     assert code == 0 and out == ""
     data = json.loads(out_path.read_text())
     assert data["energy_ev"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["sweep", "--steps", "3"],
+        ["feasibility"],
+    ],
+    ids=["solve", "sweep", "feasibility"],
+)
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    target = str(tmp_path / "absent" / "x")
+    code, out, err = run(capsys, *argv, "--out", target)
+    assert code == 2 and out == ""
+    assert "cannot write output file" in err and repr(target) in err
+
+
+def test_blank_out_config_entry_is_a_usage_error(capsys, tmp_path):
+    conf = tmp_path / "blank.conf"
+    conf.write_text("out =\n")
+    code, out, err = run(capsys, "solve", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert "cannot write output file ''" in err
 
 
 # ------------------------------------------------------------ selftest

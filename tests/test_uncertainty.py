@@ -78,6 +78,27 @@ def test_analytic_matches_numeric_derivative(kind):
         assert analytic == pytest.approx(numeric, rel=1e-6)
 
 
+@pytest.mark.parametrize("v0, e, gap", [(5.0, 1.0, 0.5), (4.0, 1.5, 0.3), (6.0, 2.0, 0.8)])
+def test_turning_point_at_the_right_edge(v0, e, gap):
+    # phi = V0 - E puts the turning point on the right edge, where the
+    # edge argument b_bar is 0 or a few ulps from it and the solver
+    # switches from the scaled to the unscaled Airy pair.  Nudging phi by
+    # 1e-12 either way moves b_bar across zero.
+    depth = v0 - e
+    results = [
+        uncertainty_product(Energy.from_ev(e), BarrierSpec.linear_field(v0, phi, gap))
+        for phi in (depth, depth * (1.0 - 1e-12), depth * (1.0 + 1e-12))
+    ]
+    at_edge = results[0]
+    for res in results[1:]:
+        assert res.solution.T == pytest.approx(at_edge.solution.T, rel=1e-9)
+        assert res.solution.dT_dl == pytest.approx(at_edge.solution.dT_dl, rel=1e-9)
+        assert res.product_over_hbar == pytest.approx(at_edge.product_over_hbar, rel=1e-9)
+    for res in results:
+        numeric = dT_dl(res.solution, DerivativeMethod.NUMERIC)
+        assert res.solution.dT_dl == pytest.approx(numeric, rel=1e-6)
+
+
 def test_both_mode_returns_numeric_and_accepts_agreement():
     sol = solve(Energy.from_ev(1.2), BarrierSpec.linear_field(4.0, 1.0, 0.25))
     both = dT_dl(sol, "both")
@@ -108,26 +129,25 @@ def test_position_uncertainty_closed_form_symmetric():
         k0 = sol.k0.per_meter
         u = k0 * sol.barrier.gap.meters
         ref = (1.0 / sol.T) * k / ((k**2 + k0**2) * math.cosh(u))
-        got = position_uncertainty(sol, dT_dl(sol), 1.0)
+        got = position_uncertainty(sol, 1.0)
         assert got.meters == pytest.approx(ref, rel=1e-12)
 
 
 def test_position_uncertainty_count_scaling():
     sol = solve(Energy.from_ev(1.5), BarrierSpec.symmetric(4.0, 0.3))
-    d = dT_dl(sol)
-    one = position_uncertainty(sol, d, 1.0).meters
-    four = position_uncertainty(sol, d, 4.0).meters
+    one = position_uncertainty(sol, 1.0).meters
+    four = position_uncertainty(sol, 4.0).meters
     assert four == pytest.approx(0.5 * one, rel=1e-14)
 
 
 def test_position_uncertainty_rejects_degenerate_derivative():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
     with pytest.raises(DomainError, match="second-order"):
-        position_uncertainty(sol, 0.0, 1.0)
+        position_uncertainty(dataclasses.replace(sol, dT_dl=0.0), 1.0)
     with pytest.raises(DomainError):
-        position_uncertainty(sol, math.nan, 1.0)
+        position_uncertainty(dataclasses.replace(sol, dT_dl=math.nan), 1.0)
     with pytest.raises(DomainError):
-        position_uncertainty(sol, -1e9, 0.5)
+        position_uncertainty(dataclasses.replace(sol, dT_dl=-1e9), 0.5)
 
 
 # ------------------------------------------------- momentum_uncertainty
@@ -292,7 +312,7 @@ def test_result_records_provenance():
     res = uncertainty_product(e, spec, N=3.0)
     assert isinstance(res, UncertaintyResult)
     assert res.n_electrons == 3.0
-    assert res.dT_dl < 0.0
+    assert res.solution.dT_dl < 0.0
     assert res.delta_l.meters > 0.0
     assert res.delta_p > 0.0
 

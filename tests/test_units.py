@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from tunnelnoise.errors import DomainError
 from tunnelnoise.units import (
     BOLTZMANN,
-    CONSTANTS,
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     EV,
@@ -31,12 +30,6 @@ def test_constants_match_scipy():
     assert ELECTRON_MASS == pytest.approx(sc.m_e, rel=5e-9)
     assert ELEMENTARY_CHARGE == sc.e  # exact by SI definition
     assert BOLTZMANN == sc.k  # exact by SI definition
-
-
-def test_constants_positive_and_frozen():
-    assert CONSTANTS.hbar > 0
-    with pytest.raises(Exception):
-        CONSTANTS.hbar = 1.0
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
