@@ -15,7 +15,7 @@ from .errors import (
     TunnelNoiseError,
     UsageError,
 )
-from .units import Energy, Length, Wavenumber
+from .units import Energy, Length
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "RangeError",
     "TunnelNoiseError",
     "UsageError",
-    "Wavenumber",
     "__version__",
 ]

@@ -203,10 +203,10 @@ def _zero_bias_product(config: SweepConfig) -> float:
 def run_sweep(config: SweepConfig) -> tuple:
     """Evaluate the grid; returns (rows, summary).
 
-    Grid points whose evaluation hits a domain error are omitted and
-    counted in ``summary["skipped_rows"]``; bias sweeps additionally
-    report nondecreasing verdicts for delta_p and the product, plus the
-    zero-bias product value.
+    Grid points whose evaluation hits a domain or arithmetic error are
+    omitted and counted in ``summary["skipped_rows"]``; bias sweeps
+    additionally report nondecreasing verdicts for delta_p and the
+    product, plus the zero-bias product value.
     """
     rows = []
     kicks = []
@@ -219,7 +219,7 @@ def run_sweep(config: SweepConfig) -> tuple:
             for name, column_value in row.items():
                 if not math.isfinite(column_value):
                     raise DomainError(f"column {name} is not finite at {value!r}")
-        except DomainError:
+        except (DomainError, ArithmeticError):
             skipped += 1
             continue
         rows.append(SweepRow(value=value, columns=row))
@@ -380,13 +380,13 @@ def _solve_dump(
             "V0_ev": barrier.V0.ev,
             "phi_ev": barrier.phi.ev,
             "gap_nm": barrier.gap.nm,
-            "a_nm": barrier.a.nm,
+            "a_nm": 0.0,
         },
         "energy_ev": energy.ev,
         "wavenumbers_per_m": {
-            "k": sol.k.per_meter,
-            "k0": sol.k0.per_meter,
-            "k_bar": sol.k_bar.per_meter,
+            "k": sol.k,
+            "k0": sol.k0,
+            "k_bar": sol.k_bar,
         },
         "amplitudes": {
             "t": _complex_json(sol.t),

@@ -16,13 +16,16 @@ converge, so it is never attempted.
 
 from __future__ import annotations
 
-import cmath
-import enum
 import math
 from dataclasses import dataclass
 
-from .errors import UsageError
-from .scattering import Family, ScatteringSolution, WavefunctionSample, eval_wavefunction
+from .scattering import (
+    Family,
+    ScatteringSolution,
+    Side,
+    WavefunctionSample,
+    eval_wavefunction,
+)
 from .units import ELECTRON_MASS, HBAR, Length
 
 __all__ = [
@@ -36,17 +39,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-class Side(enum.Enum):
-    """One-sided limit selector for sampling at potential steps.
-
-    Away from a step both limits coincide, so either member serves for a
-    point in the interior of a region.
-    """
-
-    LEFT_LIMIT = "left_limit"
-    RIGHT_LIMIT = "right_limit"
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class FluxReport:
 
 @dataclass(frozen=True)
 class TransferredFluxes:
-    """Momentum and momentum-squared fluxes absorbed by the wall at b.
+    """Momentum and momentum-squared fluxes absorbed by the wall at x = l.
 
     ``v2_description`` records which part of the barrier force was
     attributed to the wall when forming the fluxes.
@@ -164,35 +156,26 @@ def currents_at(
         One-sided limit to take if ``x`` sits exactly on a barrier
         edge.
     """
-    if not isinstance(side, Side):
-        raise UsageError(f"side must be a fluxes.Side member, got {side!r}")
-    eval_side = "left" if side is Side.LEFT_LIMIT else "right"
-    return _report_from_sample(eval_wavefunction(sol, x, side=eval_side), side)
+    return _report_from_sample(eval_wavefunction(sol, x, side), side)
 
 
-def _amplitude_exterior_values(sol: ScatteringSolution):
-    """Exterior one-sided quantities expressed through the amplitudes.
+def _exterior_currents(sol: ScatteringSolution, net: float, total: float, rho_b: float):
+    """Exterior one-sided plane-wave quantities at the two barrier edges.
 
-    Returns the left-edge density and (j, j_p, j_p2) triple plus the
-    right-edge equivalents.  These closed forms are what the plane-wave
-    algebra gives exactly; building them from ``r`` and ``t`` rather
-    than the stored probabilities keeps them sensitive to amplitude
-    inconsistencies, which the residual checks exist to detect.
+    ``net`` and ``total`` stand for ``1 - |r|^2`` and ``1 + |r|^2`` and
+    ``rho_b`` for the transmitted density ``|t|^2 / 2 pi``; callers pass
+    either those amplitude forms or their equivalents in ``T``.  Returns
+    the left-edge density and (j, j_p, j_p2) triple plus the right-edge
+    equivalents.
     """
-    k = sol.k.per_meter
-    k_bar = sol.k_bar.per_meter
-    a = sol.barrier.a.meters
-    b = sol.barrier.b.meters
-    r_sq = abs(sol.r) ** 2
-    t_sq = abs(sol.t) ** 2
-
-    rho_a = abs(cmath.exp(1j * k * a) + sol.r * cmath.exp(-1j * k * a)) ** 2 / _TWO_PI
+    k = sol.k
+    k_bar = sol.k_bar
+    rho_a = abs(1.0 + sol.r) ** 2 / _TWO_PI
     left = (
-        HBAR * k / ELECTRON_MASS * (1.0 - r_sq) / _TWO_PI,
-        HBAR**2 * k**2 / ELECTRON_MASS * (1.0 + r_sq) / _TWO_PI,
-        HBAR**3 * k**3 / ELECTRON_MASS * (1.0 - r_sq) / _TWO_PI,
+        HBAR * k / ELECTRON_MASS * net / _TWO_PI,
+        HBAR**2 * k**2 / ELECTRON_MASS * total / _TWO_PI,
+        HBAR**3 * k**3 / ELECTRON_MASS * net / _TWO_PI,
     )
-    rho_b = t_sq / _TWO_PI
     right = (
         HBAR * k_bar / ELECTRON_MASS * rho_b,
         HBAR**2 * k_bar**2 / ELECTRON_MASS * rho_b,
@@ -211,7 +194,7 @@ def _step_heights(sol: ScatteringSolution) -> tuple[float, float]:
 
 
 def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
-    """Momentum and momentum-squared fluxes delivered to the wall at b.
+    """Momentum and momentum-squared fluxes delivered to the wall at x = l.
 
     The rectangular families attribute the full right-edge step to the
     wall, which reduces the flux integrals to the interior currents at
@@ -223,9 +206,9 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     the step relations, a path that stays conditioned even when the
     barrier is nearly opaque.
     """
-    k = sol.k.per_meter
-    k_bar = sol.k_bar.per_meter
-    k0 = sol.k0.per_meter
+    k = sol.k
+    k_bar = sol.k_bar
+    k0 = sol.k0
 
     if sol.barrier.family is not Family.LINEAR_FIELD:
         j_p_t = (
@@ -251,17 +234,9 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     # collapses to zero once T drops under rounding, which would leave
     # the two half-sum members unbalanced for very opaque barriers.
     # The edge densities are O(1)-conditioned and safe either way.
-    a = sol.barrier.a.meters
-    k_over_k_bar = k / k_bar
-    j_const = HBAR * k / ELECTRON_MASS * sol.T / _TWO_PI
-    rho_a = (
-        abs(cmath.exp(1j * k * a) + sol.r * cmath.exp(-1j * k * a)) ** 2 / _TWO_PI
+    rho_a, (j_const, j_p_a, j_p2_a), rho_b, (_, j_p_b, j_p2_b) = _exterior_currents(
+        sol, sol.T, 2.0 - sol.T, k / k_bar * sol.T / _TWO_PI
     )
-    rho_b = k_over_k_bar * sol.T / _TWO_PI
-    j_p_a = HBAR**2 * k**2 / ELECTRON_MASS * (2.0 - sol.T) / _TWO_PI
-    j_p2_a = HBAR**3 * k**3 / ELECTRON_MASS * sol.T / _TWO_PI
-    j_p_b = HBAR**2 * k_bar**2 / ELECTRON_MASS * rho_b
-    j_p2_b = HBAR**3 * k_bar**3 / ELECTRON_MASS * rho_b
     step_a, step_b = _step_heights(sol)
     j_p_in_a = j_p_a - step_a * rho_a
     j_p_in_b = j_p_b + step_b * rho_b
@@ -289,18 +264,19 @@ def jump_residuals(sol: ScatteringSolution) -> JumpResiduals:
     natural flux units; large values are data about an inconsistent
     solution, not an error condition.
     """
-    a = sol.barrier.a.meters
-    b = sol.barrier.b.meters
-    k = sol.k.per_meter
-    k_bar = sol.k_bar.per_meter
-    k0 = sol.k0.per_meter
-
-    rho_a, (j_a, j_p_a, j_p2_a), rho_b, (j_b, j_p_b, j_p2_b) = (
-        _amplitude_exterior_values(sol)
+    k = sol.k
+    k_bar = sol.k_bar
+    k0 = sol.k0
+    # Exterior sides from the amplitudes rather than the stored
+    # probabilities, so they stay sensitive to amplitude inconsistencies,
+    # which these residuals exist to detect.
+    r_sq = abs(sol.r) ** 2
+    rho_a, (j_a, j_p_a, j_p2_a), rho_b, (j_b, j_p_b, j_p2_b) = _exterior_currents(
+        sol, 1.0 - r_sq, 1.0 + r_sq, abs(sol.t) ** 2 / _TWO_PI
     )
     step_a, step_b = _step_heights(sol)
-    inner_a = currents_at(sol, a, Side.RIGHT_LIMIT)
-    inner_b = currents_at(sol, b, Side.LEFT_LIMIT)
+    inner_a = currents_at(sol, 0.0, Side.RIGHT_LIMIT)
+    inner_b = currents_at(sol, sol.barrier.gap.meters, Side.LEFT_LIMIT)
 
     unit_p = (
         HBAR**2 / (2.0 * ELECTRON_MASS) * (k**2 + k0**2 + k_bar**2) / _TWO_PI

@@ -26,14 +26,7 @@ from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import transferred_fluxes
 from .scattering import BarrierSpec, Family, ScatteringSolution, solve
 from .uncertainty import momentum_uncertainty
-from .units import (
-    BOLTZMANN,
-    ELEMENTARY_CHARGE,
-    HBAR,
-    Energy,
-    Length,
-    Wavenumber,
-)
+from .units import BOLTZMANN, ELEMENTARY_CHARGE, HBAR, Energy, Length
 
 __all__ = [
     "ResonatorSpec",
@@ -160,8 +153,8 @@ def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
             f"({sol.barrier.gap.nm!r} nm); the kick-variance route needs 1/T "
             "attempts per conducted electron"
         )
-    k = sol.k.per_meter
-    k0 = sol.k0.per_meter
+    k = sol.k
+    k0 = sol.k0
     rate = current / ELEMENTARY_CHARGE
     ratio_sq = (k0 / k) ** 2
     closed = (
@@ -220,17 +213,16 @@ def shot_noise_current_psd(I0: float) -> float:
     return math.sqrt(2.0 * ELEMENTARY_CHARGE * _check_current(I0))
 
 
-def tunnel_resistance(
-    R0: float, k0: "Wavenumber | float", x: "float | Length"
-) -> float:
+def tunnel_resistance(R0: float, k0: float, x: "float | Length") -> float:
     """Junction resistance ``R0 exp(-2 k0 x)`` at electrode separation x.
 
     The exponential law holds in the opaque regime (``k0 x >> 1``); R0
-    is the prefactor resistance at zero separation.
+    is the prefactor resistance at zero separation and ``k0`` the decay
+    constant in 1/m.
     """
     if not (isinstance(R0, (int, float)) and math.isfinite(R0) and R0 > 0.0):
         raise DomainError(f"zero-separation resistance must be positive, got {R0!r}")
-    decay = k0.per_meter if isinstance(k0, Wavenumber) else float(k0)
+    decay = float(k0)
     if not math.isfinite(decay) or decay <= 0.0:
         raise DomainError(f"decay constant must be positive, got {k0!r}")
     position = x.meters if isinstance(x, Length) else float(x)

@@ -37,13 +37,13 @@ from .units import (
     HBAR,
     Energy,
     Length,
-    Wavenumber,
     wavenumber_evanescent,
     wavenumber_free,
 )
 
 __all__ = [
     "Family",
+    "Side",
     "BarrierSpec",
     "ScatteringSolution",
     "WavefunctionSample",
@@ -76,9 +76,23 @@ class Family(enum.Enum):
     LINEAR_FIELD = "linear-field"
 
 
+class Side(enum.Enum):
+    """One-sided limit selector for sampling at potential steps.
+
+    Away from a step both limits coincide, so either member serves for a
+    point in the interior of a region.
+    """
+
+    LEFT_LIMIT = "left_limit"
+    RIGHT_LIMIT = "right_limit"
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
     """Geometry and energetics of a single tunneling barrier.
+
+    The barrier occupies ``0 <= x <= gap``: the left edge sits at the
+    origin and the right edge, the test-mass wall, at ``x = gap``.
 
     Attributes
     ----------
@@ -90,17 +104,13 @@ class BarrierSpec:
         Potential drop across the barrier (0 for the symmetric shape).
         The right exterior sits at ``-phi``.
     gap : Length
-        Barrier width ``l = b - a``.
-    a : Length
-        Position of the left edge; purely a phase convention, zero by
-        default.
+        Barrier width ``l``.
     """
 
     family: Family
     V0: Energy
     phi: Energy
     gap: Length
-    a: Length = Length(0.0)
 
     def __post_init__(self) -> None:
         if not self.gap.meters > 0.0:
@@ -109,8 +119,6 @@ class BarrierSpec:
             raise DomainError(f"barrier height must be positive, got {self.V0.ev} eV")
         if self.phi.joules < 0.0:
             raise DomainError(f"potential drop must be >= 0, got {self.phi.ev} eV")
-        if not math.isfinite(self.a.meters):
-            raise DomainError(f"left edge must be finite, got {self.a.meters} m")
         if self.family is Family.SYMMETRIC_RECT and self.phi.joules != 0.0:
             raise DomainError(
                 "symmetric barrier requires a zero potential drop, got "
@@ -118,46 +126,34 @@ class BarrierSpec:
             )
 
     @classmethod
-    def symmetric(cls, v0_ev: float, gap_nm: float, a_nm: float = 0.0) -> "BarrierSpec":
+    def symmetric(cls, v0_ev: float, gap_nm: float) -> "BarrierSpec":
         """Rectangular barrier with equal exterior potentials."""
         return cls(
             Family.SYMMETRIC_RECT,
             Energy.from_ev(v0_ev),
             Energy.from_ev(0.0),
             Length.from_nm(gap_nm),
-            Length.from_nm(a_nm),
         )
 
     @classmethod
-    def asymmetric(
-        cls, v0_ev: float, phi_ev: float, gap_nm: float, a_nm: float = 0.0
-    ) -> "BarrierSpec":
+    def asymmetric(cls, v0_ev: float, phi_ev: float, gap_nm: float) -> "BarrierSpec":
         """Rectangular barrier with the right exterior lowered by phi."""
         return cls(
             Family.ASYMMETRIC_RECT,
             Energy.from_ev(v0_ev),
             Energy.from_ev(phi_ev),
             Length.from_nm(gap_nm),
-            Length.from_nm(a_nm),
         )
 
     @classmethod
-    def linear_field(
-        cls, v0_ev: float, phi_ev: float, gap_nm: float, a_nm: float = 0.0
-    ) -> "BarrierSpec":
+    def linear_field(cls, v0_ev: float, phi_ev: float, gap_nm: float) -> "BarrierSpec":
         """Linearly tilted barrier, V0 at the left edge, V0 - phi at the right."""
         return cls(
             Family.LINEAR_FIELD,
             Energy.from_ev(v0_ev),
             Energy.from_ev(phi_ev),
             Length.from_nm(gap_nm),
-            Length.from_nm(a_nm),
         )
-
-    @property
-    def b(self) -> Length:
-        """Position of the right edge, ``a + gap``."""
-        return Length(self.a.meters + self.gap.meters)
 
     def potential(self, x_m: float) -> float:
         """Potential energy in joules at position ``x_m`` (meters).
@@ -165,27 +161,25 @@ class BarrierSpec:
         The interior convention is closed on both edges; exact edge
         values only matter to callers sampling midpoints anyway.
         """
-        a = self.a.meters
-        b = a + self.gap.meters
-        if x_m < a:
+        if x_m < 0.0:
             return 0.0
-        if x_m > b:
+        if x_m > self.gap.meters:
             return 0.0 if self.family is Family.SYMMETRIC_RECT else -self.phi.joules
         if self.family is Family.LINEAR_FIELD:
-            return self.V0.joules - self.phi.joules * (x_m - a) / self.gap.meters
+            return self.V0.joules - self.phi.joules * x_m / self.gap.meters
         return self.V0.joules
 
 
 @dataclass(frozen=True)
 class _RectInterior:
     """Interior wave anchored at the edges: ``g_plus`` multiplies the
-    exponential growing toward b, ``g_minus`` the one growing toward a.
-    Both anchored exponentials are <= 1 everywhere in the barrier."""
+    exponential growing toward the right edge ``b``, ``g_minus`` the one
+    growing toward the left edge at 0.  Both anchored exponentials are
+    <= 1 everywhere in the barrier."""
 
     g_plus: complex
     g_minus: complex
     k0: float
-    a: float
     b: float
 
 
@@ -207,7 +201,6 @@ class _AiryInterior:
     a_bar: float
     b_bar: float
     delta_zeta: float
-    a: float
     b: float
 
 
@@ -232,9 +225,9 @@ class ScatteringSolution:
         Gap derivative of ``T`` at fixed energy, height and bias, 1/m,
         differentiated from the solver's own closed forms (exact to
         rounding).
-    k, k_bar, k0 : Wavenumber
-        Incident, transmitted, and evanescent wavenumbers (``k_bar = k``
-        for the symmetric shape).
+    k, k_bar, k0 : float
+        Incident, transmitted, and evanescent wavenumbers in 1/m
+        (``k_bar = k`` for the symmetric shape).
     incident_flux : float
         Probability flux of the incident wave, ``hbar k / (2 pi m)``.
     barrier : BarrierSpec
@@ -250,9 +243,9 @@ class ScatteringSolution:
     T: float
     R: float
     dT_dl: float
-    k: Wavenumber
-    k_bar: Wavenumber
-    k0: Wavenumber
+    k: float
+    k_bar: float
+    k0: float
     incident_flux: float
     barrier: BarrierSpec
     energy: Energy
@@ -311,9 +304,7 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     k = wavenumber_free(e)
     k_bar = wavenumber_free(e + spec.phi.joules)
     k0 = wavenumber_evanescent(spec.V0.joules, e)
-    a = spec.a.meters
     length = spec.gap.meters
-    b = a + length
 
     u = k0 * length
     m2 = math.exp(-2.0 * u)
@@ -324,12 +315,10 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     d_hat = 0.5 * complex(k0 * (k + k_bar) * one_p, (k0 * k0 - k * k_bar) * one_m)
 
     # t_anchored carries everything except the exp(-u) tunneling factor.
-    t_anchored = 2.0 * k * k0 * cmath.exp(1j * (k * a - k_bar * b)) / d_hat
+    t_anchored = 2.0 * k * k0 * cmath.exp(-1j * k_bar * length) / d_hat
     t = t_anchored * math.exp(-u) if u <= _MAX_EXPONENT else 0j
-    r = (
-        cmath.exp(2j * k * a)
-        * complex(k0 * (k - k_bar) * one_p, -(k * k_bar + k0 * k0) * one_m)
-        / (2.0 * d_hat)
+    r = complex(k0 * (k - k_bar) * one_p, -(k * k_bar + k0 * k0) * one_m) / (
+        2.0 * d_hat
     )
 
     # (k_bar/k) |t|^2 without squaring the underflow-prone t itself.
@@ -346,25 +335,25 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     g_prime = -4.0 * k0 * m2 * (grow * one_p - decay * one_m)
     dT_dl = T * (-2.0 * k0 - g_prime / g)
 
-    phase_b = cmath.exp(1j * k_bar * b)
+    phase_b = cmath.exp(1j * k_bar * length)
     g_plus = 0.5 * t * phase_b * complex(1.0, k_bar / k0)
     g_minus = 0.5 * t_anchored * phase_b * complex(1.0, -k_bar / k0)
 
     return ScatteringSolution(
         t=t,
         r=r,
-        c_plus=_saturating_scale(g_plus, -k0 * b),
-        c_minus=_saturating_scale(g_minus, k0 * a),
+        c_plus=_saturating_scale(g_plus, -k0 * length),
+        c_minus=g_minus,
         T=T,
         R=R,
         dT_dl=dT_dl,
-        k=Wavenumber(k),
-        k_bar=Wavenumber(k_bar),
-        k0=Wavenumber(k0),
+        k=k,
+        k_bar=k_bar,
+        k0=k0,
         incident_flux=HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
         barrier=spec,
         energy=energy,
-        interior=_RectInterior(g_plus=g_plus, g_minus=g_minus, k0=k0, a=a, b=b),
+        interior=_RectInterior(g_plus=g_plus, g_minus=g_minus, k0=k0, b=length),
     )
 
 
@@ -434,9 +423,7 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     k = wavenumber_free(e)
     k_bar = wavenumber_free(e + phi)
     k0 = wavenumber_evanescent(v0, e)
-    a = spec.a.meters
     length = spec.gap.meters
-    b = a + length
 
     # Local Airy argument z(x) = kappa (beta - x), where beta is the
     # point at which the extended linear potential crosses the incident
@@ -471,15 +458,13 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
             f"E = {energy.ev} eV, phi = {spec.phi.ev} eV"
         )
 
-    phase = cmath.exp(1j * (k * a - k_bar * b))
+    phase = cmath.exp(-1j * k_bar * length)
     damp = math.exp(-delta_zeta) if delta_zeta <= _MAX_EXPONENT else 0.0
     t = -(2j * k / math.pi) * kappa * phase * damp / f_tilde
     T = min(
         1.0, (k_bar / k) * (2.0 * k * kappa / math.pi) ** 2 * damp2 / abs(f_tilde) ** 2
     )
-    r = -cmath.exp(2j * k * a) * (
-        1.0 + 2j * k * (damp2 * q_b * quad_a.ai - p_b * quad_a.bi) / f_tilde
-    )
+    r = -(1.0 + 2j * k * (damp2 * q_b * quad_a.ai - p_b * quad_a.bi) / f_tilde)
     R = min(1.0, abs(r) ** 2)
 
     # Gap derivative.  All gap dependence enters through kappa ~ l^(-1/3)
@@ -514,8 +499,8 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     )
     dT_dl = T * (-2.0 / (3.0 * length) - 2.0 * ddzeta - 2.0 * (df / f_tilde).real)
 
-    g_ai = -2j * k * cmath.exp(1j * k * a) * q_b / f_tilde
-    g_bi = 2j * k * cmath.exp(1j * k * a) * p_b / f_tilde
+    g_ai = -2j * k * q_b / f_tilde
+    g_bi = 2j * k * p_b / f_tilde
 
     return ScatteringSolution(
         t=t,
@@ -525,9 +510,9 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         T=T,
         R=R,
         dT_dl=dT_dl,
-        k=Wavenumber(k),
-        k_bar=Wavenumber(k_bar),
-        k0=Wavenumber(k0),
+        k=k,
+        k_bar=k_bar,
+        k0=k0,
         incident_flux=HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
         barrier=spec,
         energy=energy,
@@ -538,8 +523,7 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
             a_bar=a_bar,
             b_bar=b_bar,
             delta_zeta=delta_zeta,
-            a=a,
-            b=b,
+            b=length,
         ),
     )
 
@@ -557,7 +541,7 @@ def solve(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
 
 
 def _sample_exterior_left(sol: ScatteringSolution, x: float) -> WavefunctionSample:
-    k = sol.k.per_meter
+    k = sol.k
     inc = cmath.exp(1j * k * x)
     ref = sol.r * cmath.exp(-1j * k * x)
     psi = (inc + ref) / _SQRT_TWO_PI
@@ -568,7 +552,7 @@ def _sample_exterior_left(sol: ScatteringSolution, x: float) -> WavefunctionSamp
 
 
 def _sample_exterior_right(sol: ScatteringSolution, x: float) -> WavefunctionSample:
-    kb = sol.k_bar.per_meter
+    kb = sol.k_bar
     psi = sol.t * cmath.exp(1j * kb * x) / _SQRT_TWO_PI
     d1 = 1j * kb * psi
     return WavefunctionSample(
@@ -578,9 +562,9 @@ def _sample_exterior_right(sol: ScatteringSolution, x: float) -> WavefunctionSam
 
 def _sample_rect_interior(inner: _RectInterior, x: float) -> WavefunctionSample:
     k0 = inner.k0
-    # Anchored exponentials, both <= 1 for a <= x <= b.
+    # Anchored exponentials, both <= 1 for 0 <= x <= b.
     toward_b = math.exp(-k0 * (inner.b - x))
-    toward_a = math.exp(-k0 * (x - inner.a))
+    toward_a = math.exp(-k0 * x)
     up = inner.g_plus * toward_b
     down = inner.g_minus * toward_a
     psi = (up + down) / _SQRT_TWO_PI
@@ -595,7 +579,7 @@ def _sample_airy_interior(inner: _AiryInterior, x: float) -> WavefunctionSample:
     # Widths from the edges are exact products; every exponent below is
     # a difference taken through them, so no large-exponent
     # cancellation can creep in even at extreme scaling.
-    w_from_a = kappa * (x - inner.a)
+    w_from_a = kappa * x
     w_from_b = kappa * (inner.b - x)
     if inner.b_bar > 0.0:
         z = inner.b_bar + w_from_b
@@ -628,7 +612,7 @@ def _sample_airy_interior(inner: _AiryInterior, x: float) -> WavefunctionSample:
 
 
 def eval_wavefunction(
-    sol: ScatteringSolution, x: "float | Length", side: str = "right"
+    sol: ScatteringSolution, x: "float | Length", side: Side = Side.RIGHT_LIMIT
 ) -> WavefunctionSample:
     """Evaluate the wavefunction and its first three derivatives.
 
@@ -638,11 +622,11 @@ def eval_wavefunction(
         A solved state.
     x : float or Length
         Position; a bare float is taken in meters.
-    side : {"right", "left"}
-        Which region to use when ``x`` falls exactly on a barrier edge:
-        the region touching the edge from that side.  Away from the
-        edges both choices agree.  The default gives the interior value
-        at the left edge and the transmitted value at the right edge.
+    side : Side
+        One-sided limit to take when ``x`` falls exactly on a barrier
+        edge.  Away from the edges both limits agree.  The default gives
+        the interior value at the left edge and the transmitted value at
+        the right edge.
 
     Returns
     -------
@@ -650,17 +634,16 @@ def eval_wavefunction(
         psi and derivatives d1..d3, all with the incident-wave
         normalization ``1/sqrt(2 pi)``.
     """
-    if side not in ("left", "right"):
-        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
+    if not isinstance(side, Side):
+        raise UsageError(f"side must be a Side member, got {side!r}")
     x_m = x.meters if isinstance(x, Length) else float(x)
     if not math.isfinite(x_m):
         raise DomainError(f"position must be finite, got {x_m}")
-    a = sol.barrier.a.meters
-    b = a + sol.barrier.gap.meters
+    b = sol.barrier.gap.meters
 
-    if x_m < a or (x_m == a and side == "left"):
+    if x_m < 0.0 or (x_m == 0.0 and side is Side.LEFT_LIMIT):
         return _sample_exterior_left(sol, x_m)
-    if x_m > b or (x_m == b and side == "right"):
+    if x_m > b or (x_m == b and side is Side.RIGHT_LIMIT):
         return _sample_exterior_right(sol, x_m)
     inner = sol.interior
     if isinstance(inner, _AiryInterior):

@@ -23,10 +23,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConsistencyError, DomainError, UsageError
+from .errors import ConsistencyError, DomainError, RangeError, UsageError
 from .fluxes import TransferredFluxes, transferred_fluxes
 from .scattering import BarrierSpec, ScatteringSolution, solve
 from .units import HBAR, Energy, Length
@@ -219,15 +220,24 @@ def momentum_uncertainty(
     ``(delta_p)^2 = N [ -j_p2_t/j_in + (j_p_t/j_in)^2 ]``.  The bracket
     is a variance; excursions below zero smaller than 1e-12 of the
     natural ``hbar^2 (k^2 + k0^2) T`` scale are rounding and clamp to
-    zero, anything larger is an inconsistent flux set and raises.
+    zero, anything larger is an inconsistent flux set and raises.  A
+    second moment ``-j_p2_t/j_in`` below the smallest normal float has
+    lost its digits to underflow (opaque barriers) and raises the range
+    error.
     """
-    n = _check_count(N)
     j_in = sol.incident_flux
+    second_moment = -transferred.j_p2_t / j_in
+    if abs(second_moment) < sys.float_info.min:
+        raise RangeError(
+            f"kick second moment underflows ({second_moment!r} (kg m/s)^2 at "
+            f"T = {sol.T!r}); the barrier is too opaque for the kick variance"
+        )
+    n = _check_count(N)
     mean_kick = transferred.j_p_t / j_in
-    bracket = -transferred.j_p2_t / j_in + mean_kick * mean_kick
+    bracket = second_moment + mean_kick * mean_kick
     if bracket < 0.0:
-        k = sol.k.per_meter
-        k0 = sol.k0.per_meter
+        k = sol.k
+        k0 = sol.k0
         natural = HBAR**2 * (k * k + k0 * k0) * sol.T
         if bracket >= -1e-12 * natural:
             bracket = 0.0

@@ -2,8 +2,8 @@
 
 Everything downstream computes in SI; energies arrive in eV at the API
 boundary and are converted exactly once.  The semantic wrappers below
-(`Energy`, `Length`, `Wavenumber`) tag scalars at that boundary only,
-hot loops work with the raw floats they carry.
+(`Energy`, `Length`) tag scalars at that boundary only, hot loops work
+with the raw floats they carry; wavenumbers are plain floats in 1/m.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "NM",
     "Energy",
     "Length",
-    "Wavenumber",
     "ev_to_joules",
     "joules_to_ev",
     "wavenumber_free",
@@ -83,13 +82,6 @@ class Length:
     @property
     def nm(self) -> float:
         return self.meters / NM
-
-
-@dataclass(frozen=True)
-class Wavenumber:
-    """A wavenumber tagged with its SI value in 1/m."""
-
-    per_meter: float
 
 
 def wavenumber_free(energy_j: float) -> float:

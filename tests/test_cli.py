@@ -224,6 +224,8 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         (["solve", "--barrier", "field", "--phi", "1", "--E", "1e-300"], "underflows"),
         (["solve", "--V0", "1e300", "--E", "1"], "OverflowError"),
         (["feasibility", "--I0", "1e-320"], "ZeroDivisionError"),
+        (["solve", "--barrier", "sym", "--gap", "30"], "underflows"),
+        (["solve", "--barrier", "sym", "--gap", "35"], "underflows"),
     ],
     ids=[
         "solve-E-above-V0",
@@ -237,6 +239,8 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "solve-field-E-underflows-k",
         "solve-V0-overflows-k0-squared",
         "feasibility-I0-underflows-s-fq",
+        "solve-sym-gap-30-kick-underflows",
+        "solve-sym-gap-35-kick-underflows",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
@@ -263,6 +267,27 @@ def test_sweep_skips_the_row_whose_wavenumber_underflows(capsys):
     _, _, rows, footer = parse_csv(out)
     assert [row[0] for row in rows] == [2.0, 4.0]
     assert footer == ["# skipped_rows: 1"]
+
+
+def test_sweep_skips_rows_with_an_arithmetic_error(capsys):
+    # V0 = 1e300 eV overflows k0**2 in every row: each row is skipped
+    # and counted, instead of the first one aborting the sweep.
+    code, out, _ = run(
+        capsys,
+        "sweep",
+        "--barrier",
+        "sym",
+        "--sweep",
+        "gap",
+        "--V0",
+        "1e300",
+        "--steps",
+        "3",
+    )
+    assert code == 0
+    _, _, rows, footer = parse_csv(out)
+    assert rows == []
+    assert footer == ["# skipped_rows: 3"]
 
 
 def test_consistency_failure_exits_four(capsys):

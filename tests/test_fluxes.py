@@ -39,8 +39,8 @@ def random_case(rng, family: Family):
 
 
 def region_grid(sol, n=100):
-    a = sol.barrier.a.meters
-    b = sol.barrier.b.meters
+    a = 0.0
+    b = sol.barrier.gap.meters
     width = b - a
     return np.linspace(a - 0.5 * width, b + 0.5 * width, n)
 
@@ -59,7 +59,7 @@ def test_probability_current_is_constant_everywhere(family):
 
 def test_left_exterior_matches_standing_wave_closed_forms():
     sol = solve(Energy.from_ev(1.7), BarrierSpec.asymmetric(4.0, 1.1, 0.35))
-    k = sol.k.per_meter
+    k = sol.k
     r_sq = abs(sol.r) ** 2
     for x_nm in (-0.8, -0.25, -0.04):
         x = Length.from_nm(x_nm)
@@ -81,7 +81,7 @@ def test_left_exterior_matches_standing_wave_closed_forms():
 
 def test_right_exterior_matches_plane_wave_closed_forms():
     sol = solve(Energy.from_ev(1.7), BarrierSpec.linear_field(4.0, 1.1, 0.35))
-    k_bar = sol.k_bar.per_meter
+    k_bar = sol.k_bar
     t_sq = abs(sol.t) ** 2
     for x_nm in (0.35, 0.5, 2.0):
         rep = currents_at(sol, Length.from_nm(x_nm))
@@ -106,7 +106,7 @@ def test_momentum_sq_current_is_negative_in_forbidden_bulk():
     for family in (Family.SYMMETRIC_RECT, Family.LINEAR_FIELD):
         for _ in range(10):
             sol = random_case(rng, family)
-            a = sol.barrier.a.meters
+            a = 0.0
             width = sol.barrier.gap.meters
             for frac in (0.25, 0.5, 0.75):
                 x = a + frac * width
@@ -121,7 +121,7 @@ def test_interior_balance_laws_in_tilted_barrier(frac):
     rng = np.random.default_rng(99)
     for _ in range(15):
         sol = random_case(rng, Family.LINEAR_FIELD)
-        a = sol.barrier.a.meters
+        a = 0.0
         width = sol.barrier.gap.meters
         v_prime = -sol.barrier.phi.joules / width
         h = 1e-5 * width
@@ -143,7 +143,7 @@ def test_rect_transferred_fluxes_equal_interior_edge_currents():
         for _ in range(15):
             sol = random_case(rng, family)
             tf = transferred_fluxes(sol)
-            inner_b = currents_at(sol, sol.barrier.b.meters, Side.LEFT_LIMIT)
+            inner_b = currents_at(sol, sol.barrier.gap.meters, Side.LEFT_LIMIT)
             assert tf.j_p_t == pytest.approx(inner_b.j_p, rel=1e-10)
             assert tf.j_p2_t == pytest.approx(inner_b.j_p2, rel=1e-10)
 
@@ -152,8 +152,8 @@ def test_symmetric_transferred_momentum_flux_closed_form():
     rng = np.random.default_rng(13)
     for _ in range(15):
         sol = random_case(rng, Family.SYMMETRIC_RECT)
-        k = sol.k.per_meter
-        k0 = sol.k0.per_meter
+        k = sol.k
+        k0 = sol.k0
         ref_p = HBAR**2 / (2.0 * ELECTRON_MASS) * (k**2 - k0**2) * sol.T / TWO_PI
         ref_p2 = -(HBAR**3) / ELECTRON_MASS * k0**2 * k * sol.T / TWO_PI
         tf = transferred_fluxes(sol)
@@ -171,8 +171,8 @@ def test_tilted_transferred_fluxes_match_direct_integration():
     for v0, e, gap, phi in cases:
         spec = BarrierSpec.linear_field(v0, phi, gap)
         sol = solve(Energy.from_ev(e), spec)
-        a = spec.a.meters
-        b = spec.b.meters
+        a = 0.0
+        b = spec.gap.meters
         slope_half = -spec.phi.joules / (2.0 * (b - a))
         step_b = -spec.V0.joules
         out_b = currents_at(sol, b, Side.RIGHT_LIMIT)
@@ -236,7 +236,7 @@ def test_dispatched_tiny_slope_uses_flat_interior_step():
 
 def test_report_fields_and_side_handling():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
-    b = sol.barrier.b.meters
+    b = sol.barrier.gap.meters
     bulk = currents_at(sol, b)
     right = currents_at(sol, b, Side.RIGHT_LIMIT)
     left = currents_at(sol, b, Side.LEFT_LIMIT)

@@ -25,7 +25,6 @@ from tunnelnoise.units import (
     HBAR,
     Energy,
     Length,
-    Wavenumber,
     wavenumber_evanescent,
 )
 
@@ -160,7 +159,7 @@ def test_tunnel_resistance_values():
     assert tunnel_resistance(1.0e4, 1e10, 0.0) == 1.0e4
     half = math.log(2.0) / (2.0 * 1e10)
     assert tunnel_resistance(1.0e4, 1e10, half) == pytest.approx(5.0e3, rel=1e-12)
-    got = tunnel_resistance(1.0e4, Wavenumber(1e10), Length.from_nm(0.1))
+    got = tunnel_resistance(1.0e4, 1e10, Length.from_nm(0.1))
     assert got == pytest.approx(1.0e4 * math.exp(-2.0), rel=1e-12)
     assert got == pytest.approx(0.135 * 1.0e4, rel=0.01)
 

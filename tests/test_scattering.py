@@ -22,6 +22,7 @@ from tunnelnoise.scattering import (
     BarrierSpec,
     Family,
     ScatteringSolution,
+    Side,
     eval_wavefunction,
     solve,
     solve_asymmetric,
@@ -71,13 +72,13 @@ def test_continuity_at_both_edges():
         # Weak tilt: the Airy arguments exceed 1e5 and the scaling
         # exponents reach 1e7, stressing the exponent bookkeeping.
         (BarrierSpec.linear_field(5.0, 1e-6, 1.0), 1.0),
-        (BarrierSpec.symmetric(8.0, 1.7, a_nm=-0.4), 2.0),
+        (BarrierSpec.symmetric(8.0, 1.7), 2.0),
     ]
     for spec, e_ev in cases:
         sol = solve(Energy.from_ev(e_ev), spec)
-        for edge in (spec.a.meters, spec.b.meters):
-            left = eval_wavefunction(sol, edge, side="left")
-            right = eval_wavefunction(sol, edge, side="right")
+        for edge in (0.0, spec.gap.meters):
+            left = eval_wavefunction(sol, edge, side=Side.LEFT_LIMIT)
+            right = eval_wavefunction(sol, edge, side=Side.RIGHT_LIMIT)
             assert relative_gap(left.psi, right.psi) < 1e-9
             assert relative_gap(left.d1, right.d1) < 1e-9
 
@@ -90,8 +91,8 @@ def test_symmetric_transmission_closed_form():
         spec = random_spec(rng, Family.SYMMETRIC_RECT)
         energy = random_energy(rng, spec)
         sol = solve_symmetric(energy, spec)
-        k = sol.k.per_meter
-        k0 = sol.k0.per_meter
+        k = sol.k
+        k0 = sol.k0
         u = k0 * spec.gap.meters
         if u > 300.0:
             continue  # sinh overflow territory for the reference form
@@ -116,12 +117,12 @@ def test_transmission_matches_transfer_matrix_oracle(family):
         n = 16 if family is not Family.LINEAR_FIELD else 4096
         T_ref, _, _ = richardson_transmission(
             spec.potential,
-            spec.a.meters,
-            spec.b.meters,
+            0.0,
+            spec.gap.meters,
             energy.joules,
             n_slices=n,
             v_left=0.0,
-            v_right=spec.potential(spec.b.meters + 1.0),
+            v_right=spec.potential(spec.gap.meters + 1.0),
         )
         assert relative_gap(sol.T, T_ref) < 1e-8
         checked += 1
@@ -160,7 +161,7 @@ def test_opaque_barrier_asymptotics():
     k0 = math.sqrt(2.0 * ELECTRON_MASS * (v0 - e_ev) * 1.602176634e-19) / HBAR
     gap_nm = 10.0 / k0 / 1e-9
     sol = solve_symmetric(Energy.from_ev(e_ev), BarrierSpec.symmetric(v0, gap_nm))
-    k = sol.k.per_meter
+    k = sol.k
     estimate = (
         16.0 * k**2 * k0**2 / (k**2 + k0**2) ** 2 * math.exp(-2.0 * k0 * sol.barrier.gap.meters)
     )
@@ -183,10 +184,10 @@ def test_tilted_solver_matches_unscaled_matching_system():
     spec = BarrierSpec.linear_field(5.0, 2.0, 0.5)
     sol = solve_linear_field(energy, spec)
     e, v0, phi = energy.joules, spec.V0.joules, spec.phi.joules
-    a, b = spec.a.meters, spec.b.meters
+    a, b = 0.0, spec.gap.meters
     length = spec.gap.meters
-    k = sol.k.per_meter
-    kb = sol.k_bar.per_meter
+    k = sol.k
+    kb = sol.k_bar
     kappa = ((2.0 * ELECTRON_MASS / HBAR**2) * phi / length) ** (1.0 / 3.0)
     a_bar = kappa * (v0 - e) * length / phi
     b_bar = kappa * length * ((v0 - e) - phi) / phi
@@ -217,10 +218,10 @@ def test_tilted_solver_matches_handwritten_closed_forms():
     spec = BarrierSpec.linear_field(4.0, 1.5, 0.6)
     sol = solve_linear_field(energy, spec)
     e, v0, phi = energy.joules, spec.V0.joules, spec.phi.joules
-    a, b = spec.a.meters, spec.b.meters
+    a, b = 0.0, spec.gap.meters
     length = spec.gap.meters
-    k = sol.k.per_meter
-    kb = sol.k_bar.per_meter
+    k = sol.k
+    kb = sol.k_bar
     kappa = ((2.0 * ELECTRON_MASS / HBAR**2) * phi / length) ** (1.0 / 3.0)
     qa = airy_all(kappa * (v0 - e) * length / phi)
     qb = airy_all(kappa * length * ((v0 - e) - phi) / phi)
@@ -261,8 +262,8 @@ def test_interior_matches_ode_integration():
     energy = Energy.from_ev(4.5)
     spec = BarrierSpec.linear_field(5.0, 2.0, 0.3)
     sol = solve_linear_field(energy, spec)
-    a, b = spec.a.meters, spec.b.meters
-    start = eval_wavefunction(sol, a, side="right")
+    a, b = 0.0, spec.gap.meters
+    start = eval_wavefunction(sol, a, side=Side.RIGHT_LIMIT)
     xs = np.linspace(a, b, 9)[1:]
     psi_ref, dpsi_ref = integrate_schrodinger(
         spec.potential, energy.joules, a, start.psi, start.d1, xs
@@ -275,8 +276,8 @@ def test_interior_matches_ode_integration():
 
 def test_exterior_wave_forms():
     sol = solve_asymmetric(Energy.from_ev(1.0), BarrierSpec.asymmetric(5.0, 1.5, 0.6))
-    k = sol.k.per_meter
-    kb = sol.k_bar.per_meter
+    k = sol.k
+    kb = sol.k_bar
     for x in (-3e-9, -1e-10):
         sample = eval_wavefunction(sol, x)
         standing = (1.0 + sol.R + 2.0 * (sol.r * cmath.exp(-2j * k * x)).real) / (
@@ -295,7 +296,7 @@ def test_exterior_wave_forms():
 def test_interior_coefficients_reconstruct_wavefunction():
     energy = Energy.from_ev(2.0)
     rect = solve_asymmetric(energy, BarrierSpec.asymmetric(5.0, 1.0, 0.4))
-    k0 = rect.k0.per_meter
+    k0 = rect.k0
     for x in (0.1e-9, 0.25e-9):
         sample = eval_wavefunction(rect, x)
         direct = (
@@ -308,7 +309,7 @@ def test_interior_coefficients_reconstruct_wavefunction():
     kappa = (
         (2.0 * ELECTRON_MASS / HBAR**2) * spec.phi.joules / spec.gap.meters
     ) ** (1.0 / 3.0)
-    beta = spec.a.meters + (spec.V0.joules - energy.joules) * spec.gap.meters / spec.phi.joules
+    beta = (spec.V0.joules - energy.joules) * spec.gap.meters / spec.phi.joules
     for x in (0.15e-9, 0.35e-9):
         sample = eval_wavefunction(tilted, x)
         quad = airy_all(kappa * (beta - x))
@@ -342,13 +343,13 @@ def test_second_derivative_jumps_track_the_potential_steps():
         BarrierSpec.linear_field(5.0, 2.0, 0.5),
     ):
         sol = solve(energy, spec)
-        a, b = spec.a.meters, spec.b.meters
-        at_a = eval_wavefunction(sol, a, side="left")
-        in_a = eval_wavefunction(sol, a, side="right")
+        a, b = 0.0, spec.gap.meters
+        at_a = eval_wavefunction(sol, a, side=Side.LEFT_LIMIT)
+        in_a = eval_wavefunction(sol, a, side=Side.RIGHT_LIMIT)
         jump_a = in_a.d2 - at_a.d2
         assert relative_gap(jump_a, coef * spec.V0.joules * at_a.psi) < 1e-10
-        in_b = eval_wavefunction(sol, b, side="left")
-        at_b = eval_wavefunction(sol, b, side="right")
+        in_b = eval_wavefunction(sol, b, side=Side.LEFT_LIMIT)
+        at_b = eval_wavefunction(sol, b, side=Side.RIGHT_LIMIT)
         jump_b = at_b.d2 - in_b.d2
         v_inside_b = spec.potential(b)
         v_outside_b = spec.potential(b + 1.0)
@@ -359,14 +360,14 @@ def test_second_derivative_jumps_track_the_potential_steps():
 def test_incident_flux_and_wavenumbers():
     energy = Energy.from_ev(1.0)
     sol = solve_symmetric(energy, BarrierSpec.symmetric(5.0, 0.5))
-    k = sol.k.per_meter
+    k = sol.k
     assert relative_gap(sol.incident_flux, HBAR * k / (2 * math.pi * ELECTRON_MASS)) == 0.0
-    assert sol.k_bar.per_meter == k
+    assert sol.k_bar == k
     coef = 2.0 * ELECTRON_MASS / HBAR**2
-    assert relative_gap(k**2 + sol.k0.per_meter**2, coef * sol.barrier.V0.joules) < 1e-12
+    assert relative_gap(k**2 + sol.k0**2, coef * sol.barrier.V0.joules) < 1e-12
 
     asym = solve_asymmetric(energy, BarrierSpec.asymmetric(5.0, 2.0, 0.5))
-    assert relative_gap(asym.k_bar.per_meter**2, coef * (energy.joules + asym.barrier.phi.joules)) < 1e-12
+    assert relative_gap(asym.k_bar**2, coef * (energy.joules + asym.barrier.phi.joules)) < 1e-12
 
 
 def test_eval_accepts_length_positions():
@@ -418,7 +419,7 @@ def test_unitarity_property(family, v0, frac, gap, phi):
     sol = solve(Energy.from_ev(frac * v0), spec)
     assert isinstance(sol, ScatteringSolution)
     assert abs(sol.T + sol.R - 1.0) < 1e-10
-    edge = spec.a.meters
-    left = eval_wavefunction(sol, edge, side="left")
-    right = eval_wavefunction(sol, edge, side="right")
+    edge = 0.0
+    left = eval_wavefunction(sol, edge, side=Side.LEFT_LIMIT)
+    right = eval_wavefunction(sol, edge, side=Side.RIGHT_LIMIT)
     assert relative_gap(left.psi, right.psi) < 1e-9

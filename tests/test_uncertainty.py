@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tunnelnoise.errors import ConsistencyError, DomainError, UsageError
 from tunnelnoise.fluxes import TransferredFluxes, transferred_fluxes
@@ -20,7 +22,7 @@ from tunnelnoise.uncertainty import (
     position_uncertainty,
     uncertainty_product,
 )
-from tunnelnoise.units import HBAR, Energy
+from tunnelnoise.units import HBAR, NM, Energy, ev_to_joules, wavenumber_evanescent
 
 
 def make_spec(kind, v0, phi, gap):
@@ -46,8 +48,8 @@ def test_symmetric_derivative_closed_form():
     rng = np.random.default_rng(3)
     for v0, e, _phi, gap in random_cases(rng, 30):
         sol = solve(Energy.from_ev(e), BarrierSpec.symmetric(v0, gap))
-        k = sol.k.per_meter
-        k0 = sol.k0.per_meter
+        k = sol.k
+        k0 = sol.k0
         u = k0 * sol.barrier.gap.meters
         ref = (
             -sol.T**2
@@ -63,7 +65,7 @@ def test_symmetric_derivative_closed_form():
 
 def test_opaque_limit_derivative():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(9.0, 1.8))
-    k0 = sol.k0.per_meter
+    k0 = sol.k0
     assert k0 * sol.barrier.gap.meters > 25.0
     assert dT_dl(sol) == pytest.approx(-2.0 * k0 * sol.T, rel=1e-10)
 
@@ -125,8 +127,8 @@ def test_position_uncertainty_closed_form_symmetric():
     rng = np.random.default_rng(8)
     for v0, e, _phi, gap in random_cases(rng, 20):
         sol = solve(Energy.from_ev(e), BarrierSpec.symmetric(v0, gap))
-        k = sol.k.per_meter
-        k0 = sol.k0.per_meter
+        k = sol.k
+        k0 = sol.k0
         u = k0 * sol.barrier.gap.meters
         ref = (1.0 / sol.T) * k / ((k**2 + k0**2) * math.cosh(u))
         got = position_uncertainty(sol, 1.0)
@@ -157,8 +159,8 @@ def test_symmetric_momentum_kick_closed_form():
     rng = np.random.default_rng(21)
     for v0, e, _phi, gap in random_cases(rng, 20):
         sol = solve(Energy.from_ev(e), BarrierSpec.symmetric(v0, gap))
-        k = sol.k.per_meter
-        k0 = sol.k0.per_meter
+        k = sol.k
+        k0 = sol.k0
         ref_sq = (
             HBAR**2
             / (4.0 * k**2)
@@ -173,8 +175,8 @@ def test_asymmetric_momentum_kick_closed_form():
     rng = np.random.default_rng(22)
     for v0, e, phi, gap in random_cases(rng, 20):
         sol = solve(Energy.from_ev(e), BarrierSpec.asymmetric(v0, phi, gap))
-        k_bar = sol.k_bar.per_meter
-        k0 = sol.k0.per_meter
+        k_bar = sol.k_bar
+        k0 = sol.k0
         ref_sq = (
             HBAR**2
             / (4.0 * k_bar**2)
@@ -195,7 +197,7 @@ def test_momentum_kick_scales_with_sqrt_count():
 
 def test_opaque_kick_vanishes_with_transmission():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(8.0, 1.5))
-    k0 = sol.k0.per_meter
+    k0 = sol.k0
     dp = momentum_uncertainty(transferred_fluxes(sol), sol, 1.0)
     assert dp == pytest.approx(HBAR * k0 * math.sqrt(sol.T), rel=1e-3)
 
@@ -203,7 +205,7 @@ def test_opaque_kick_vanishes_with_transmission():
 def test_bracket_guard_clamps_and_raises():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
     j_in = sol.incident_flux
-    tiny = HBAR**2 * (sol.k.per_meter**2 + sol.k0.per_meter**2) * sol.T
+    tiny = HBAR**2 * (sol.k**2 + sol.k0**2) * sol.T
     clamped = TransferredFluxes(
         j_p_t=0.0, j_p2_t=0.5e-12 * tiny * j_in, v2_description=""
     )
@@ -304,6 +306,36 @@ def test_asymmetric_product_near_minimum():
         Energy.from_ev(1.0), BarrierSpec.asymmetric(5.0, 2.0, 0.5)
     )
     assert res.product_over_hbar == pytest.approx(0.4999975440, abs=5e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["sym", "asym"]),
+    k0_l=st.floats(1.0, 800.0),
+    v0=st.floats(1.0, 10.0),
+    frac=st.floats(0.05, 0.95),
+    phi=st.floats(0.0, 10.0),
+)
+@example(kind="sym", k0_l=330.0, v0=5.0, frac=0.2, phi=0.0)
+@example(kind="sym", k0_l=360.0, v0=5.0, frac=0.2, phi=0.0)
+@example(kind="asym", k0_l=330.0, v0=5.0, frac=0.2, phi=1.0)
+@example(kind="asym", k0_l=360.0, v0=5.0, frac=0.2, phi=1.0)
+def test_product_through_opaque_rect_barriers(kind, k0_l, v0, frac, phi):
+    # From k0 l near 300 the kick second moment -j_p2_t/j_in is
+    # subnormal (its digits are gone), near 354 T itself is, and past
+    # about 372 T is 0: each such point must be a domain error, never a
+    # product that has silently lost its digits.
+    e = frac * v0
+    k0 = wavenumber_evanescent(ev_to_joules(v0), ev_to_joules(e))
+    spec = make_spec(kind, v0, phi, k0_l / k0 / NM)
+    try:
+        res = uncertainty_product(Energy.from_ev(e), spec)
+    except DomainError:
+        return
+    if kind == "sym":
+        assert abs(res.product_over_hbar - 0.5) <= 1e-10
+    else:
+        assert math.isfinite(res.product_over_hbar) and res.product_over_hbar > 0.0
 
 
 def test_result_records_provenance():
