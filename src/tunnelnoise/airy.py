@@ -210,51 +210,71 @@ def _airy_marched(z: float) -> tuple[float, float, float, float]:
 # --------------------------------------------------------------------------
 
 
+def _asymptotic_coefficients() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """u_k and v_k for k = 0..41: u_0 = v_0 = 1,
+    u_k = u_{k-1} (6k-5)(6k-1) / (72k), v_k = u_k (6k+1)/(1-6k)."""
+    u = [1.0]
+    v = [1.0]
+    for k in range(1, 42):
+        u.append(u[-1] * (6 * k - 5) * (6 * k - 1) / (72.0 * k))
+        v.append(u[-1] * (6 * k + 1) / (1 - 6 * k))
+    return tuple(u), tuple(v)
+
+
+_U, _V = _asymptotic_coefficients()
+
+
 def _asymptotic_sums(inv_zeta: float, phase_form: bool) -> tuple[float, ...]:
     """Truncated u/v asymptotic sums.
 
-    u_0 = v_0 = 1, u_{k+1} = u_k (6k+1)(6k+5) / (72(k+1)),
-    v_k = u_k (6k+1)/(1-6k).  For the exponential regime returns the four
-    alternating/plain sums; for the phase regime returns the even and odd
-    partial sums of both families.  Terms are added until they stop
-    shrinking (optimal truncation) or fall below machine precision.
+    For the exponential regime returns the alternating and the plain sums
+    of both families; for the phase regime the even-index and odd-index
+    sums of both, with alternating signs inside each parity class.
+    Terms are added until they stop shrinking (optimal truncation), fall
+    below machine precision, or k passes 40.  Each sum is accumulated
+    left to right in index order, with no compensation, so the values do
+    not depend on how the interpreter's ``sum()`` rounds.
     """
-    u_k = 1.0
-    terms_u = [1.0]
-    terms_v = [1.0]
-    k = 0
+    # Exponential form: s0 alternates its signs, s1 does not.  Phase form:
+    # s0 takes the even k and s1 the odd k, signs alternating in each.
+    s0_u = s0_v = 1.0
+    s1_u = s1_v = 0.0 if phase_form else 1.0
+    last_u = 1.0
     power = 1.0
-    while True:
-        u_next = u_k * (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1))
-        k += 1
+    for k in range(1, 42):
         power *= inv_zeta
-        term_u = u_next * power
-        v_k1 = u_next * (6 * k + 1) / (1 - 6 * k)
-        term_v = v_k1 * power
-        if abs(term_u) >= abs(terms_u[-1]) and k > 2:
+        term_u = _U[k] * power
+        term_v = _V[k] * power
+        if abs(term_u) >= abs(last_u) and k > 2:
             break
-        terms_u.append(term_u)
-        terms_v.append(term_v)
-        u_k = u_next
+        if not phase_form:
+            s1_u += term_u
+            s1_v += term_v
+            if k & 1:
+                s0_u -= term_u
+                s0_v -= term_v
+            else:
+                s0_u += term_u
+                s0_v += term_v
+        elif k & 1:
+            if k & 2:
+                s1_u -= term_u
+                s1_v -= term_v
+            else:
+                s1_u += term_u
+                s1_v += term_v
+        elif k & 2:
+            s0_u -= term_u
+            s0_v -= term_v
+        else:
+            s0_u += term_u
+            s0_v += term_v
+        last_u = term_u
         if abs(term_u) < 1e-18 and abs(term_v) < 1e-18:
             break
-        if k > 40:
-            break
-
-    if not phase_form:
-        s_u_alt = sum(t if i % 2 == 0 else -t for i, t in enumerate(terms_u))
-        s_v_alt = sum(t if i % 2 == 0 else -t for i, t in enumerate(terms_v))
-        s_u = sum(terms_u)
-        s_v = sum(terms_v)
-        return s_u_alt, s_v_alt, s_u, s_v
-
-    # Phase regime: even-index and odd-index sums with alternating signs
-    # inside each parity class.
-    u_even = sum(t if i % 2 == 0 else -t for i, t in enumerate(terms_u[0::2]))
-    u_odd = sum(t if i % 2 == 0 else -t for i, t in enumerate(terms_u[1::2]))
-    v_even = sum(t if i % 2 == 0 else -t for i, t in enumerate(terms_v[0::2]))
-    v_odd = sum(t if i % 2 == 0 else -t for i, t in enumerate(terms_v[1::2]))
-    return u_even, u_odd, v_even, v_odd
+    if phase_form:
+        return s0_u, s1_u, s0_v, s1_v
+    return s0_u, s0_v, s1_u, s1_v
 
 
 def _airy_asymptotic_positive(z: float) -> tuple[float, float, float, float, float]:
@@ -334,16 +354,10 @@ def airy_scaled(z: float) -> tuple[AiryQuad, float]:
     if z >= _ASYMPTOTIC_EDGE:
         ai_s, aip_s, bi_s, bip_s, zeta = _airy_asymptotic_positive(z)
         return AiryQuad(ai_s, aip_s, bi_s, bip_s, argument=z), zeta
-    quad = airy_all(z)
+    if z <= _MACLAURIN_EDGE:
+        ai, aip, bi, bip = _airy_maclaurin(z)
+    else:
+        ai, aip, bi, bip = _airy_marched(z)
     zeta = (2.0 / 3.0) * z * math.sqrt(z)
     grow = math.exp(zeta)
-    return (
-        AiryQuad(
-            quad.ai * grow,
-            quad.ai_prime * grow,
-            quad.bi / grow,
-            quad.bi_prime / grow,
-            argument=z,
-        ),
-        zeta,
-    )
+    return AiryQuad(ai * grow, aip * grow, bi / grow, bip / grow, argument=z), zeta

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import math
 import sys
@@ -516,7 +517,11 @@ def _selftest() -> int:
 # ------------------------------------------------------------ arg parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then shared:
+    ``parse_args`` leaves it unchanged, so ``main`` may run many times in
+    one process without paying for the build again."""
     parser = argparse.ArgumentParser(
         prog="tunnelnoise",
         description=(
@@ -731,8 +736,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _load_config_entries(args)
         if args.command == "sweep":
