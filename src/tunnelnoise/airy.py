@@ -23,6 +23,7 @@ from differencing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,6 +118,12 @@ def _airy_maclaurin(z: float) -> tuple[float, float, float, float]:
 # --------------------------------------------------------------------------
 
 
+# (n+2)(n+1) and n+2 for the recurrence below, as the floats that the
+# integer products convert to; indexing is cheaper than the arithmetic.
+_TAYLOR_DIVISORS = tuple(float((n + 2) * (n + 1)) for n in range(60))
+_TAYLOR_ORDERS = tuple(float(n + 2) for n in range(60))
+
+
 def _taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, float]:
     """Advance w'' = x w from (x0, w, w') to x0 + h by a recentred series.
 
@@ -131,10 +138,10 @@ def _taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, float
     sum_wp = wp
     hn = 1.0  # h^n for the w-sum at index n
     for n in range(60):
-        t_np2 = (x0 * t_n + t_nm1) / ((n + 2) * (n + 1))
+        t_np2 = (x0 * t_n + t_nm1) / _TAYLOR_DIVISORS[n]
         hn *= h
         term_w = t_np1 * hn
-        term_wp = (n + 2) * t_np2 * hn
+        term_wp = _TAYLOR_ORDERS[n] * t_np2 * hn
         sum_w += term_w
         sum_wp += term_wp
         if abs(term_w) < 1e-17 * abs(sum_w) and abs(term_wp) < 1e-17 * abs(sum_wp):
@@ -210,33 +217,24 @@ def _airy_marched(z: float) -> tuple[float, float, float, float]:
 # --------------------------------------------------------------------------
 
 
-def _asymptotic_coefficients() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """u_k and v_k for k = 0..41: u_0 = v_0 = 1,
-    u_k = u_{k-1} (6k-5)(6k-1) / (72k), v_k = u_k (6k+1)/(1-6k)."""
-    u = [1.0]
-    v = [1.0]
-    for k in range(1, 42):
-        u.append(u[-1] * (6 * k - 5) * (6 * k - 1) / (72.0 * k))
-        v.append(u[-1] * (6 * k + 1) / (1 - 6 * k))
-    return tuple(u), tuple(v)
-
-
-_U, _V = _asymptotic_coefficients()
+# u_k and v_k of the asymptotic series for k = 0..41: u_0 = v_0 = 1,
+# u_k = u_{k-1} (6k-5)(6k-1) / (72k) and v_k = u_k (6k+1) / (1-6k).
+_U = tuple(itertools.accumulate(
+    range(1, 42), lambda u, k: u * (6 * k - 5) * (6 * k - 1) / (72.0 * k), initial=1.0
+))
+_V = (1.0, *(_U[k] * (6 * k + 1) / (1 - 6 * k) for k in range(1, 42)))
 
 
 def _asymptotic_sums(inv_zeta: float, phase_form: bool) -> tuple[float, ...]:
     """Truncated u/v asymptotic sums.
 
-    For the exponential regime returns the alternating and the plain sums
-    of both families; for the phase regime the even-index and odd-index
-    sums of both, with alternating signs inside each parity class.
-    Terms are added until they stop shrinking (optimal truncation), fall
-    below machine precision, or k passes 40.  Each sum is accumulated
-    left to right in index order, with no compensation, so the values do
-    not depend on how the interpreter's ``sum()`` rounds.
+    Exponential regime: the alternating (s0) and plain (s1) sums of both
+    families.  Phase regime: their even-index (s0) and odd-index (s1)
+    sums, signs alternating inside each.  Terms are added in index order,
+    uncompensated, so no value depends on how ``sum()`` rounds, until
+    they stop shrinking (optimal truncation), drop below machine
+    precision, or k passes 40.
     """
-    # Exponential form: s0 alternates its signs, s1 does not.  Phase form:
-    # s0 takes the even k and s1 the odd k, signs alternating in each.
     s0_u = s0_v = 1.0
     s1_u = s1_v = 0.0 if phase_form else 1.0
     last_u = 1.0
@@ -247,29 +245,18 @@ def _asymptotic_sums(inv_zeta: float, phase_form: bool) -> tuple[float, ...]:
         term_v = _V[k] * power
         if abs(term_u) >= abs(last_u) and k > 2:
             break
+        last_u = term_u
         if not phase_form:
             s1_u += term_u
             s1_v += term_v
-            if k & 1:
-                s0_u -= term_u
-                s0_v -= term_v
-            else:
-                s0_u += term_u
-                s0_v += term_v
-        elif k & 1:
-            if k & 2:
-                s1_u -= term_u
-                s1_v -= term_v
-            else:
-                s1_u += term_u
-                s1_v += term_v
-        elif k & 2:
-            s0_u -= term_u
-            s0_v -= term_v
+        if k & (2 if phase_form else 1):
+            term_u, term_v = -term_u, -term_v
+        if phase_form and k & 1:
+            s1_u += term_u
+            s1_v += term_v
         else:
             s0_u += term_u
             s0_v += term_v
-        last_u = term_u
         if abs(term_u) < 1e-18 and abs(term_v) < 1e-18:
             break
     if phase_form:

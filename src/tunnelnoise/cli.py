@@ -37,7 +37,7 @@ from .noise import (
     quantum_force_psd,
     shot_noise_current_psd,
 )
-from .scattering import BarrierSpec, Family, solve
+from .scattering import BarrierSpec, Family, _check_energy, solve
 from .uncertainty import (
     DerivativeMethod,
     dT_dl,
@@ -194,10 +194,18 @@ def _point_values(config: SweepConfig, value: float) -> dict:
     return values
 
 
-def _zero_bias_product(config: SweepConfig) -> float:
-    product = _point_values(config, 0.0)["product"]
-    if not math.isfinite(product):
-        raise DomainError(f"column product is not finite at {config.gap_nm!r}")
+def _zero_bias_product(config: SweepConfig) -> "float | None":
+    """The product at phi = 0, or None with one stderr line when that point
+    fails; V0, E and gap inputs that fail every row alike still raise."""
+    spec = _barrier_spec(config.family, config.v0_ev, 0.0, config.gap_nm)
+    _check_energy(Energy.from_ev(config.e_ev), spec)
+    try:
+        product = _point_values(config, 0.0)["product"]
+        if not math.isfinite(product):
+            raise DomainError(f"column product is not finite at {config.gap_nm!r}")
+    except (DomainError, ArithmeticError) as exc:
+        print(f"zero-bias product left out: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
     return product
 
 
@@ -207,7 +215,7 @@ def run_sweep(config: SweepConfig) -> tuple:
     Grid points whose evaluation hits a domain or arithmetic error are
     omitted and counted in ``summary["skipped_rows"]``; bias sweeps
     additionally report nondecreasing verdicts for delta_p and the
-    product, plus the zero-bias product value.
+    product, plus the zero-bias product value when that point evaluates.
     """
     rows = []
     kicks = []
@@ -234,7 +242,9 @@ def run_sweep(config: SweepConfig) -> tuple:
         summary["product_nondecreasing"] = all(
             b >= a for a, b in zip(products, products[1:])
         )
-        summary["zero_bias_product_hbar"] = _zero_bias_product(config)
+        zero_bias = _zero_bias_product(config)
+        if zero_bias is not None:
+            summary["zero_bias_product_hbar"] = zero_bias
     return rows, summary
 
 
@@ -258,6 +268,7 @@ def _format_csv(config: SweepConfig, rows, summary) -> str:
             "# product_nondecreasing: "
             + ("true" if summary["product_nondecreasing"] else "false")
         )
+    if "zero_bias_product_hbar" in summary:
         lines.append(
             f"# zero_bias_product_hbar: {summary['zero_bias_product_hbar']:.11e}"
         )
@@ -519,9 +530,7 @@ def _selftest() -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and then shared:
-    ``parse_args`` leaves it unchanged, so ``main`` may run many times in
-    one process without paying for the build again."""
+    """Built on the first call, then shared: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="tunnelnoise",
         description=(

@@ -79,12 +79,16 @@ class TransferredFluxes:
     """Momentum and momentum-squared fluxes absorbed by the wall at x = l.
 
     ``v2_description`` records which part of the barrier force was
-    attributed to the wall when forming the fluxes.
+    attributed to the wall when forming the fluxes.  ``scaled_j_p2_t``,
+    if given, is ``j_p2_t`` times ``2^(2 exponent)``, exactly; it stays a
+    normal float where ``j_p2_t`` of an opaque barrier underflows.
     """
 
     j_p_t: float
     j_p2_t: float
     v2_description: str
+    exponent: int = 0
+    scaled_j_p2_t: "float | None" = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,10 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     k0 = sol.k0
 
     if sol.barrier.family is not Family.LINEAR_FIELD:
+        # j_p2_t is proportional to T; formed again with T times 2^(2e),
+        # which is of order 1, it stays normal for every normal T.
+        exponent = -(math.frexp(sol.T)[1] // 2)
+        j_p2_per_t = -(HBAR**3) / ELECTRON_MASS * k0**2 * k
         j_p_t = (
             HBAR**2
             / (2.0 * ELECTRON_MASS)
@@ -219,14 +227,15 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
             * sol.T
             / _TWO_PI
         )
-        j_p2_t = -(HBAR**3) / ELECTRON_MASS * k0**2 * k * sol.T / _TWO_PI
         return TransferredFluxes(
             j_p_t=j_p_t,
-            j_p2_t=j_p2_t,
+            j_p2_t=j_p2_per_t * sol.T / _TWO_PI,
             v2_description=(
                 "full right-edge step assigned to the wall; fluxes equal "
                 "the interior currents at the right edge"
             ),
+            exponent=exponent,
+            scaled_j_p2_t=j_p2_per_t * math.ldexp(sol.T, 2 * exponent) / _TWO_PI,
         )
 
     # Exterior values written through T rather than |r|^2: the model

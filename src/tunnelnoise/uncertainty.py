@@ -220,25 +220,35 @@ def momentum_uncertainty(
     ``(delta_p)^2 = N [ -j_p2_t/j_in + (j_p_t/j_in)^2 ]``.  The bracket
     is a variance; excursions below zero smaller than 1e-12 of the
     natural ``hbar^2 (k^2 + k0^2) T`` scale are rounding and clamp to
-    zero, anything larger is an inconsistent flux set and raises.  A
-    second moment ``-j_p2_t/j_in`` below the smallest normal float has
-    lost its digits to underflow (opaque barriers) and raises the range
-    error.
+    zero, anything larger is an inconsistent flux set and raises.  The
+    bracket is formed times ``2^(2 transferred.exponent)``, which is exact,
+    and keeps its digits on opaque rectangular barriers.  A ``T`` or a
+    second moment below the smallest normal float raises the range error.
     """
+    if sol.T < sys.float_info.min:
+        raise RangeError(
+            f"transmission underflows: T = {sol.T!r} is below the smallest "
+            "normal float; the barrier is too opaque for the kick variance"
+        )
     j_in = sol.incident_flux
-    second_moment = -transferred.j_p2_t / j_in
+    e = transferred.exponent
+    scaled = transferred.scaled_j_p2_t
+    second_moment = -(transferred.j_p2_t if scaled is None else scaled) / j_in
     if abs(second_moment) < sys.float_info.min:
         raise RangeError(
-            f"kick second moment underflows ({second_moment!r} (kg m/s)^2 at "
-            f"T = {sol.T!r}); the barrier is too opaque for the kick variance"
+            "kick second moment underflows "
+            f"({math.ldexp(second_moment, -2 * e)!r} (kg m/s)^2 at T = {sol.T!r}); "
+            "the barrier is too opaque for the kick variance"
         )
     n = _check_count(N)
-    mean_kick = transferred.j_p_t / j_in
+    # j_p_t / j_in is subnormal only for T below about 1e-270, where its
+    # square is about T times the second moment: lost digits do not count.
+    mean_kick = math.ldexp(transferred.j_p_t / j_in, e)
     bracket = second_moment + mean_kick * mean_kick
     if bracket < 0.0:
         k = sol.k
         k0 = sol.k0
-        natural = HBAR**2 * (k * k + k0 * k0) * sol.T
+        natural = HBAR**2 * (k * k + k0 * k0) * math.ldexp(sol.T, 2 * e)
         if bracket >= -1e-12 * natural:
             bracket = 0.0
         else:
@@ -251,7 +261,7 @@ def momentum_uncertainty(
                 "first-moment bookkeeping stops describing a variance); "
                 "otherwise it indicates inconsistent fluxes."
             )
-    return math.sqrt(n * bracket)
+    return math.ldexp(math.sqrt(n * bracket), -e)
 
 
 def uncertainty_product(

@@ -224,7 +224,6 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         (["solve", "--barrier", "field", "--phi", "1", "--E", "1e-300"], "underflows"),
         (["solve", "--V0", "1e300", "--E", "1"], "OverflowError"),
         (["feasibility", "--I0", "1e-320"], "ZeroDivisionError"),
-        (["solve", "--barrier", "sym", "--gap", "30"], "underflows"),
         (["solve", "--barrier", "sym", "--gap", "35"], "underflows"),
     ],
     ids=[
@@ -239,13 +238,59 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "solve-field-E-underflows-k",
         "solve-V0-overflows-k0-squared",
         "feasibility-I0-underflows-s-fq",
-        "solve-sym-gap-30-kick-underflows",
         "solve-sym-gap-35-kick-underflows",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
     code, _, err = run(capsys, *argv)
     assert code == 3 and fragment in err
+
+
+def test_opaque_symmetric_solve_is_a_value(capsys):
+    # At 30 nm T is about 2.6e-267 and the SI kick second moment is
+    # subnormal; the kick variance is formed from power-of-two scaled
+    # fluxes, so the point has a product and both PSD routes agree.
+    code, out, err = run(capsys, "solve", "--barrier", "sym", "--gap", "30")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert 0.0 < payload["probabilities"]["T"] < 1e-260
+    assert abs(payload["transferred_fluxes"]["j_p2_t"]) < sys.float_info.min
+    assert abs(payload["uncertainty"]["product_over_hbar"] - 0.5) <= 1e-10
+    assert payload["s_fq_n2_per_hz"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, rows, fragment",
+    [
+        (["--barrier", "asym", "--V0", "1e300", "--steps", "3"], 0, "OverflowError"),
+        (
+            ["--barrier", "field", "--gap", "32", "--min", "0", "--max", "3", "--steps", "4"],
+            2,
+            "underflows",
+        ),
+    ],
+    ids=["asym-V0-overflows", "field-opaque-zero-bias"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_zero_bias_point_leaves_the_summary_value_out(
+    capsys, argv, rows, fragment, fmt
+):
+    code, out, err = run(capsys, "sweep", "--sweep", "phi", "--format", fmt, *argv)
+    assert code == 0
+    assert err.count("\n") == 1 and "zero-bias" in err and fragment in err
+    if fmt == "csv":
+        _, _, parsed, footer = parse_csv(out)
+        summary = [line.split(": ")[0] for line in footer]
+        assert summary == [
+            "# skipped_rows",
+            "# delta_p_nondecreasing",
+            "# product_nondecreasing",
+        ]
+    else:
+        payload = json.loads(out)
+        parsed = payload["rows"]
+        assert "zero_bias_product_hbar" not in payload["summary"]
+    assert len(parsed) == rows
 
 
 def test_sweep_skips_the_row_whose_wavenumber_underflows(capsys):
