@@ -38,20 +38,13 @@ from .noise import (
     shot_noise_current_psd,
 )
 from .scattering import BarrierSpec, Family, _check_energy, solve
-from .uncertainty import (
-    DerivativeMethod,
-    dT_dl,
-    momentum_uncertainty,
-    position_uncertainty,
-    uncertainty_product,
-)
-from .units import HBAR, Energy
+from .uncertainty import DerivativeMethod, dT_dl, uncertainty_of, uncertainty_product
+from .units import Energy
 
 __all__ = [
     "SweepVariable",
     "OutputFormat",
     "SweepConfig",
-    "SweepRow",
     "run_sweep",
     "feasibility_report",
     "main",
@@ -74,6 +67,13 @@ _UNIT_LABELS = {
     "product": "hbar",
     "s_fq": "N^2/Hz",
 }
+
+
+def _check_n(n_electrons: float) -> float:
+    """The electron count N of a sweep or a solve; anything else exits 2."""
+    if n_electrons < 1.0 or not math.isfinite(n_electrons):
+        raise UsageError(f"N must be a finite count >= 1, got {n_electrons!r}")
+    return n_electrons
 
 
 class SweepVariable(enum.Enum):
@@ -125,8 +125,7 @@ class SweepConfig:
             raise UsageError(
                 "the s_fq column needs the symmetric barrier (--barrier sym)"
             )
-        if self.n_electrons < 1.0 or not math.isfinite(self.n_electrons):
-            raise UsageError(f"N must be a finite count >= 1, got {self.n_electrons!r}")
+        _check_n(self.n_electrons)
         if self.variable is SweepVariable.BIAS_PHI:
             if self.family is Family.SYMMETRIC_RECT:
                 raise UsageError(
@@ -148,14 +147,6 @@ class SweepConfig:
                 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: swept value plus the requested columns."""
-
-    value: float
-    columns: dict
-
-
 def _grid(config: SweepConfig) -> list:
     span = config.maximum - config.minimum
     last = config.steps - 1
@@ -171,8 +162,8 @@ def _barrier_spec(family: Family, v0: float, phi: float, gap: float) -> BarrierS
     return BarrierSpec.linear_field(v0, phi, gap)
 
 
-def _point_values(config: SweepConfig, value: float) -> dict:
-    """Every supported column at one grid point, in documented units."""
+def _point(config: SweepConfig, value: float) -> "tuple[Energy, BarrierSpec]":
+    """(energy, barrier) of the grid point where the swept variable is ``value``."""
     variable = config.variable
     spec = _barrier_spec(
         config.family,
@@ -181,7 +172,13 @@ def _point_values(config: SweepConfig, value: float) -> dict:
         value if variable is SweepVariable.GAP else config.gap_nm,
     )
     energy = Energy.from_ev(value if variable is SweepVariable.ENERGY else config.e_ev)
-    result = uncertainty_product(energy, spec, config.n_electrons)
+    return energy, spec
+
+
+def _point_values(config: SweepConfig, value: float, checked: tuple) -> dict:
+    """Every supported column at one grid point, in documented units; a
+    column named in ``checked`` that is not finite raises the domain error."""
+    result = uncertainty_product(*_point(config, value), config.n_electrons)
     values = {
         "T": result.solution.T,
         "R": result.solution.R,
@@ -191,87 +188,67 @@ def _point_values(config: SweepConfig, value: float) -> dict:
     }
     if "s_fq" in config.outputs:
         values["s_fq"] = quantum_force_psd(config.i0_a, result.solution)
+    for name in checked:
+        if not math.isfinite(values[name]):
+            raise DomainError(f"column {name} is not finite at {value!r}")
     return values
-
-
-def _zero_bias_product(config: SweepConfig) -> "float | None":
-    """The product at phi = 0, or None with one stderr line when that point
-    fails; V0, E and gap inputs that fail every row alike still raise."""
-    spec = _barrier_spec(config.family, config.v0_ev, 0.0, config.gap_nm)
-    _check_energy(Energy.from_ev(config.e_ev), spec)
-    try:
-        product = _point_values(config, 0.0)["product"]
-        if not math.isfinite(product):
-            raise DomainError(f"column product is not finite at {config.gap_nm!r}")
-    except (DomainError, ArithmeticError) as exc:
-        print(f"zero-bias product left out: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return None
-    return product
 
 
 def run_sweep(config: SweepConfig) -> tuple:
     """Evaluate the grid; returns (rows, summary).
 
+    Each row is a dict of the swept value and the requested columns.
+    The inputs are checked once, at the swept variable's minimum, before
+    the grid: a V0, E, gap or phi that fails every point alike raises.
     Grid points whose evaluation hits a domain or arithmetic error are
     omitted and counted in ``summary["skipped_rows"]``; bias sweeps
     additionally report nondecreasing verdicts for delta_p and the
     product, plus the zero-bias product value when that point evaluates.
     """
+    _check_energy(*_point(config, config.minimum))
+    grid = _grid(config)
+    variable = config.variable.value
+    outputs = config.outputs
     rows = []
-    kicks = []
-    products = []
-    skipped = 0
-    for value in _grid(config):
+    evaluated = []
+    for value in grid:
         try:
-            values = _point_values(config, value)
-            row = {name: values[name] for name in config.outputs}
-            for name, column_value in row.items():
-                if not math.isfinite(column_value):
-                    raise DomainError(f"column {name} is not finite at {value!r}")
+            values = _point_values(config, value, outputs)
         except (DomainError, ArithmeticError):
-            skipped += 1
             continue
-        rows.append(SweepRow(value=value, columns=row))
-        kicks.append(values["delta_p"])
-        products.append(values["product"])
-    summary = {"skipped_rows": skipped}
+        rows.append({variable: value, **{name: values[name] for name in outputs}})
+        evaluated.append(values)
+    summary = {"skipped_rows": len(grid) - len(rows)}
     if config.variable is SweepVariable.BIAS_PHI:
-        summary["delta_p_nondecreasing"] = all(
-            b >= a for a, b in zip(kicks, kicks[1:])
-        )
-        summary["product_nondecreasing"] = all(
-            b >= a for a, b in zip(products, products[1:])
-        )
-        zero_bias = _zero_bias_product(config)
-        if zero_bias is not None:
-            summary["zero_bias_product_hbar"] = zero_bias
+        for name in ("delta_p", "product"):
+            column = [values[name] for values in evaluated]
+            summary[f"{name}_nondecreasing"] = all(
+                b >= a for a, b in zip(column, column[1:])
+            )
+        try:
+            summary["zero_bias_product_hbar"] = _point_values(
+                config, 0.0, ("product",)
+            )["product"]
+        except (DomainError, ArithmeticError) as exc:
+            print(
+                f"zero-bias product left out: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
     return rows, summary
 
 
 def _format_csv(config: SweepConfig, rows, summary) -> str:
-    var_name = config.variable.value
-    header = [var_name, *config.outputs]
+    header = [config.variable.value, *config.outputs]
     units = [_UNIT_LABELS[name] for name in header]
     lines = [",".join(header), "# units: " + ",".join(units)]
     for row in rows:
-        cells = [f"{row.value:.11e}"] + [
-            f"{row.columns[name]:.11e}" for name in config.outputs
-        ]
-        lines.append(",".join(cells))
-    lines.append(f"# skipped_rows: {summary['skipped_rows']}")
-    if "delta_p_nondecreasing" in summary:
-        lines.append(
-            "# delta_p_nondecreasing: "
-            + ("true" if summary["delta_p_nondecreasing"] else "false")
-        )
-        lines.append(
-            "# product_nondecreasing: "
-            + ("true" if summary["product_nondecreasing"] else "false")
-        )
-    if "zero_bias_product_hbar" in summary:
-        lines.append(
-            f"# zero_bias_product_hbar: {summary['zero_bias_product_hbar']:.11e}"
-        )
+        lines.append(",".join(f"{cell:.11e}" for cell in row.values()))
+    for key, value in summary.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = f"{value:.11e}"
+        lines.append(f"# {key}: {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -293,7 +270,7 @@ def _format_json(config: SweepConfig, rows, summary) -> str:
             "I0_a": config.i0_a,
             "units": {name: _UNIT_LABELS[name] for name in (var_name, *config.outputs)},
         },
-        "rows": [{var_name: row.value, **row.columns} for row in rows],
+        "rows": rows,
         "summary": summary,
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -429,12 +406,11 @@ def _solve_dump(
         "n_electrons": n_electrons,
     }
     try:
-        delta_l = position_uncertainty(sol, n_electrons)
-        delta_p = momentum_uncertainty(transferred, sol, n_electrons)
+        result = uncertainty_of(sol, n_electrons)
         payload["uncertainty"] = {
-            "delta_l_nm": delta_l.nm,
-            "delta_p_kg_m_s": delta_p,
-            "product_over_hbar": delta_l.meters * delta_p / HBAR,
+            "delta_l_nm": result.delta_l.nm,
+            "delta_p_kg_m_s": result.delta_p,
+            "product_over_hbar": result.product_over_hbar,
         }
     except DomainError as exc:
         payload["uncertainty"] = {"unavailable": str(exc)}
@@ -469,9 +445,7 @@ def _selftest() -> int:
         f"defect {worst_unitarity:.3e}",
     )
 
-    product = uncertainty_product(
-        Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5)
-    ).product_over_hbar
+    product = uncertainty_of(solutions[0]).product_over_hbar
     check(
         "symmetric uncertainty product equals 1/2 within 1e-10",
         abs(product - 0.5) < 1e-10,
@@ -738,7 +712,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     barrier = _barrier_from(args, "sym")
     energy = Energy.from_ev(_merged(args, "E", 1.0))
     text = _solve_dump(
-        barrier, energy, _merged(args, "N", 1.0), _merged(args, "I0", 1e-6)
+        barrier, energy, _check_n(_merged(args, "N", 1.0)), _merged(args, "I0", 1e-6)
     )
     _emit(text, _merged(args, "out", None))
     return 0

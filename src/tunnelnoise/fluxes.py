@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .scattering import (
-    Family,
     ScatteringSolution,
     Side,
     WavefunctionSample,
@@ -200,21 +199,22 @@ def _step_heights(sol: ScatteringSolution) -> tuple[float, float]:
 def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     """Momentum and momentum-squared fluxes delivered to the wall at x = l.
 
-    The rectangular families attribute the full right-edge step to the
-    wall, which reduces the flux integrals to the interior currents at
-    the right edge; those have closed forms in (k, k_bar, k0, T).  The
-    tilted barrier splits its interior slope force evenly between the
-    two electrodes on top of the full right-edge step, which turns the
-    flux integrals into half-sums of the interior currents at the two
-    edges; the interior values follow from the exterior ones through
-    the step relations, a path that stays conditioned even when the
-    barrier is nearly opaque.
+    A flat interior (either rectangular family, or a tilted barrier at
+    or below the dispatch seam, which the rectangular core solves)
+    attributes the full right-edge step to the wall, which reduces the
+    flux integrals to the interior currents at the right edge; those
+    have closed forms in (k, k_bar, k0, T).  A tilted interior splits
+    its slope force evenly between the two electrodes on top of the
+    full right-edge step, which turns the flux integrals into half-sums
+    of the interior currents at the two edges; the interior values
+    follow from the exterior ones through the step relations, a path
+    that stays conditioned even when the barrier is nearly opaque.
     """
     k = sol.k
     k_bar = sol.k_bar
     k0 = sol.k0
 
-    if sol.barrier.family is not Family.LINEAR_FIELD:
+    if not sol.tilted_interior:
         # j_p2_t is proportional to T; formed again with T times 2^(2e),
         # which is of order 1, it stays normal for every normal T.
         exponent = -(math.frexp(sol.T)[1] // 2)

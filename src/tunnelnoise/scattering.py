@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .airy import AiryQuad, airy_all, airy_scaled
+from .airy import airy_all, airy_scaled
 from .errors import DomainError, UsageError
 from .units import (
     ELECTRON_MASS,
@@ -396,11 +396,6 @@ def _zeta_difference(hi: float, lo: float, width: float) -> float:
     )
 
 
-def _zeta_single(z: float) -> float:
-    """Airy exponent ``(2/3) z^{3/2}`` for ``z >= 0``."""
-    return (2.0 / 3.0) * z * math.sqrt(z)
-
-
 def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     """Solve the linearly tilted barrier with Airy functions.
 
@@ -441,7 +436,7 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         # order one, so they stay unscaled (zero exponent).
         quad_b = airy_all(b_bar)
         zeta_b = 0.0
-        delta_zeta = _zeta_single(a_bar)
+        delta_zeta = zeta_a
 
     # One-sided elimination of the interior: each factor is a scaled
     # combination of an Airy value and its derivative at one edge.
@@ -591,8 +586,7 @@ def _sample_airy_interior(inner: _AiryInterior, x: float) -> WavefunctionSample:
     else:
         z = inner.a_bar - w_from_a
         if z > 0.0:
-            quad, _ = airy_scaled(z)
-            zeta_x = _zeta_single(z)
+            quad, zeta_x = airy_scaled(z)
         else:
             quad = airy_all(z)
             zeta_x = 0.0

@@ -38,6 +38,7 @@ __all__ = [
     "position_uncertainty",
     "dT_dl",
     "momentum_uncertainty",
+    "uncertainty_of",
     "uncertainty_product",
 ]
 
@@ -264,16 +265,14 @@ def momentum_uncertainty(
     return math.ldexp(math.sqrt(n * bracket), -e)
 
 
-def uncertainty_product(
-    E: Energy, spec: BarrierSpec, N: float = 1.0
-) -> UncertaintyResult:
-    """Full pipeline: solve, form wall fluxes, return the pair.
+def uncertainty_of(sol: ScatteringSolution, N: float = 1.0) -> UncertaintyResult:
+    """Uncertainty pair of a solved state: ``delta_l`` from its ``dT_dl``,
+    ``delta_p`` from the wall fluxes formed here.
 
     The product ``delta_l * delta_p / hbar`` is invariant under N
     (position tightens, momentum spreads); the symmetric flat barrier
     sits at exactly 1/2.
     """
-    sol = solve(E, spec)
     delta_l = position_uncertainty(sol, N)
     delta_p = momentum_uncertainty(transferred_fluxes(sol), sol, N)
     return UncertaintyResult(
@@ -283,3 +282,10 @@ def uncertainty_product(
         n_electrons=_check_count(N),
         solution=sol,
     )
+
+
+def uncertainty_product(
+    E: Energy, spec: BarrierSpec, N: float = 1.0
+) -> UncertaintyResult:
+    """Full pipeline: solve, then :func:`uncertainty_of` the solution."""
+    return uncertainty_of(solve(E, spec), N)

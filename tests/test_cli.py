@@ -201,6 +201,9 @@ def test_json_and_csv_agree_on_row_values(capsys):
         (["sweep", "--N", "0.5"], "N"),
         (["feasibility", "--barrier", "field", "--E", "6"], "symmetric"),
         (["feasibility", "--barrier", "asym", "--phi", "1", "--E", "6"], "symmetric"),
+        (["solve", "--N", "0.5"], "N"),
+        (["solve", "--N", "inf"], "N"),
+        (["solve", "--N", "nan"], "N"),
     ],
 )
 def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
@@ -225,6 +228,10 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         (["solve", "--V0", "1e300", "--E", "1"], "OverflowError"),
         (["feasibility", "--I0", "1e-320"], "ZeroDivisionError"),
         (["solve", "--barrier", "sym", "--gap", "35"], "underflows"),
+        (["sweep", "--sweep", "gap", "--V0", "-1"], "barrier height"),
+        (["sweep", "--sweep", "gap", "--E", "7"], "E < V0"),
+        (["sweep", "--sweep", "gap", "--E", "-1"], "incident energy"),
+        (["sweep", "--sweep", "E", "--gap", "-1"], "barrier gap"),
     ],
     ids=[
         "solve-E-above-V0",
@@ -239,6 +246,10 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "solve-V0-overflows-k0-squared",
         "feasibility-I0-underflows-s-fq",
         "solve-sym-gap-35-kick-underflows",
+        "sweep-gap-negative-V0",
+        "sweep-gap-E-above-V0",
+        "sweep-gap-negative-E",
+        "sweep-E-negative-gap",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
@@ -264,8 +275,8 @@ def test_opaque_symmetric_solve_is_a_value(capsys):
     [
         (["--barrier", "asym", "--V0", "1e300", "--steps", "3"], 0, "OverflowError"),
         (
-            ["--barrier", "field", "--gap", "32", "--min", "0", "--max", "3", "--steps", "4"],
-            2,
+            ["--barrier", "field", "--gap", "36", "--min", "0", "--max", "3", "--steps", "4"],
+            1,
             "underflows",
         ),
     ],
@@ -291,6 +302,16 @@ def test_failing_zero_bias_point_leaves_the_summary_value_out(
         parsed = payload["rows"]
         assert "zero_bias_product_hbar" not in payload["summary"]
     assert len(parsed) == rows
+
+
+def test_unbounded_sweep_checks_its_fixed_inputs_at_the_minimum(capsys):
+    # With --max inf the first grid value is NaN; the fixed inputs are
+    # checked at the minimum instead, so the sweep still runs.
+    code, out, err = run(
+        capsys, "sweep", "--sweep", "gap", "--max", "inf", "--steps", "3"
+    )
+    assert code == 0 and err == ""
+    assert "# skipped_rows: 3" in out
 
 
 def test_sweep_skips_the_row_whose_wavenumber_underflows(capsys):

@@ -234,6 +234,16 @@ def test_dispatched_tiny_slope_uses_flat_interior_step():
     assert jump_residuals(sol).worst < 1e-9
 
 
+def test_dispatched_tiny_slope_takes_the_rectangular_bookkeeping():
+    # Below the dispatch seam the rectangular core solves the tilted
+    # barrier, so its wall fluxes are those of the asymmetric barrier
+    # with the same drop, bit for bit.
+    e = Energy.from_ev(1.0)
+    tilted = transferred_fluxes(solve(e, BarrierSpec.linear_field(5.0, 1e-10, 1.0)))
+    rect = transferred_fluxes(solve(e, BarrierSpec.asymmetric(5.0, 1e-10, 1.0)))
+    assert tilted == rect
+
+
 def test_report_fields_and_side_handling():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
     b = sol.barrier.gap.meters
