@@ -23,9 +23,10 @@ from differencing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 
@@ -49,8 +50,7 @@ _ANCHOR_STEP = 0.5
 _MAX_EXPONENT = 700.0
 
 
-@dataclass(frozen=True)
-class AiryQuad:
+class AiryQuad(NamedTuple):
     """Ai, Bi and first derivatives at one real argument."""
 
     ai: float
@@ -71,6 +71,22 @@ class AiryQuad:
 # --------------------------------------------------------------------------
 
 
+def _series_coefficients(first: int) -> tuple[float, ...]:
+    """c_m, m = first, first + 3, ... (40 terms), from c_{first-3} = 1."""
+    orders = range(first, first + 120, 3)
+    return tuple(
+        itertools.accumulate(orders, lambda c, m: c / (m * (m - 1)), initial=1.0)
+    )[1:]
+
+
+# Term k of f and of g: their coefficients c_{3k+3} and c_{3k+4} and the
+# orders 3k+3 and 3k+4 that differentiate the terms.
+_MACLAURIN_TERMS = tuple(zip(
+    _series_coefficients(3), _series_coefficients(4),
+    map(float, range(3, 123, 3)), map(float, range(4, 124, 3)),
+))
+
+
 def _maclaurin_pair(z: float) -> tuple[float, float, float, float]:
     """The two fundamental solutions f, g of w'' = z w and their derivatives.
 
@@ -82,23 +98,18 @@ def _maclaurin_pair(z: float) -> tuple[float, float, float, float]:
         return 1.0, 0.0, 0.0, 1.0
     f, fp = 1.0, 0.0
     g, gp = z, 1.0
-    cf, cg = 1.0, 1.0
     z3 = z * z * z
     power_f = 1.0  # z^{3k}
     power_g = z  # z^{3k+1}
-    for k in range(40):
-        n_f = 3 * k
-        n_g = 3 * k + 1
-        cf = cf / ((n_f + 3) * (n_f + 2))
-        cg = cg / ((n_g + 3) * (n_g + 2))
+    for cf, cg, order_f, order_g in _MACLAURIN_TERMS:
         power_f *= z3
         power_g *= z3
         term_f = cf * power_f
         term_g = cg * power_g
         f += term_f
         g += term_g
-        fp += term_f * (n_f + 3) / z
-        gp += term_g * (n_g + 3) / z
+        fp += term_f * order_f / z
+        gp += term_g * order_g / z
         if abs(term_f) < 1e-18 * abs(f) and abs(term_g) < 1e-18 * abs(g):
             break
     return f, fp, g, gp
@@ -124,29 +135,41 @@ _TAYLOR_DIVISORS = tuple(float((n + 2) * (n + 1)) for n in range(60))
 _TAYLOR_ORDERS = tuple(float(n + 2) for n in range(60))
 
 
-def _taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, float]:
-    """Advance w'' = x w from (x0, w, w') to x0 + h by a recentred series.
+def _taylor_coefficients(x0: float, w: float, wp: float) -> list[tuple[float, float]]:
+    """Pairs (t_{n+1}, (n+2) t_{n+2}), n = 0..59, of the series of w'' = x w
+    recentred at x0 through (w, w').
 
-    Coefficients satisfy (n+2)(n+1) t_{n+2} = x0 t_n + t_{n-1}; for the
-    step sizes used here (|h| <= 1/2, |x0| <= 9) the series reaches
-    machine precision well inside the term cap.
+    Coefficients satisfy (n+2)(n+1) t_{n+2} = x0 t_n + t_{n-1}; they do
+    not depend on the step, so each anchor computes them once.
     """
+    pairs = []
     t_nm1 = 0.0
     t_n = w
     t_np1 = wp
+    for n in range(60):
+        t_np2 = (x0 * t_n + t_nm1) / _TAYLOR_DIVISORS[n]
+        pairs.append((t_np1, _TAYLOR_ORDERS[n] * t_np2))
+        t_nm1, t_n, t_np1 = t_n, t_np1, t_np2
+    return pairs
+
+
+def _taylor_sum(pairs: list, w: float, wp: float, h: float) -> tuple[float, float]:
+    """w and w' at x0 + h from the :func:`_taylor_coefficients` at x0.
+
+    For the step sizes used here (|h| <= 1/2, |x0| <= 9) the series
+    reaches machine precision well inside the term cap.
+    """
     sum_w = w
     sum_wp = wp
     hn = 1.0  # h^n for the w-sum at index n
-    for n in range(60):
-        t_np2 = (x0 * t_n + t_nm1) / _TAYLOR_DIVISORS[n]
+    for c_w, c_wp in pairs:
         hn *= h
-        term_w = t_np1 * hn
-        term_wp = _TAYLOR_ORDERS[n] * t_np2 * hn
+        term_w = c_w * hn
+        term_wp = c_wp * hn
         sum_w += term_w
         sum_wp += term_wp
         if abs(term_w) < 1e-17 * abs(sum_w) and abs(term_wp) < 1e-17 * abs(sum_wp):
             break
-        t_nm1, t_n, t_np1 = t_n, t_np1, t_np2
     return sum_w, sum_wp
 
 
@@ -164,7 +187,7 @@ def _build_anchors() -> dict[float, tuple[float, float, float, float]]:
     anchors[_MACLAURIN_EDGE] = [ai, aip, bi, bip]
     x = _MACLAURIN_EDGE
     for _ in range(n_steps):
-        bi, bip = _taylor_step(x, bi, bip, _ANCHOR_STEP)
+        bi, bip = _taylor_sum(_taylor_coefficients(x, bi, bip), bi, bip, _ANCHOR_STEP)
         x = round((x + _ANCHOR_STEP) * 2.0) / 2.0
         anchors[x] = [math.nan, math.nan, bi, bip]
 
@@ -175,7 +198,7 @@ def _build_anchors() -> dict[float, tuple[float, float, float, float]]:
     anchors[_ASYMPTOTIC_EDGE][1] = aip
     x = _ASYMPTOTIC_EDGE
     for _ in range(n_steps):
-        ai, aip = _taylor_step(x, ai, aip, -_ANCHOR_STEP)
+        ai, aip = _taylor_sum(_taylor_coefficients(x, ai, aip), ai, aip, -_ANCHOR_STEP)
         x = round((x - _ANCHOR_STEP) * 2.0) / 2.0
         if x == _MACLAURIN_EDGE:
             break
@@ -186,29 +209,35 @@ def _build_anchors() -> dict[float, tuple[float, float, float, float]]:
     anchors[-_MACLAURIN_EDGE] = [ai, aip, bi, bip]
     x = -_MACLAURIN_EDGE
     for _ in range(n_steps):
-        ai, aip = _taylor_step(x, ai, aip, -_ANCHOR_STEP)
-        bi, bip = _taylor_step(x, bi, bip, -_ANCHOR_STEP)
+        ai, aip = _taylor_sum(_taylor_coefficients(x, ai, aip), ai, aip, -_ANCHOR_STEP)
+        bi, bip = _taylor_sum(_taylor_coefficients(x, bi, bip), bi, bip, -_ANCHOR_STEP)
         x = round((x - _ANCHOR_STEP) * 2.0) / 2.0
         anchors[x] = [ai, aip, bi, bip]
 
     return {k: tuple(v) for k, v in anchors.items()}
 
 
-_ANCHORS: dict[float, tuple[float, float, float, float]] | None = None
+_anchor_table = functools.cache(_build_anchors)
+
+
+@functools.cache
+def _anchor_series(anchor: float) -> tuple:
+    """Ai, Ai' and their Taylor coefficients at one anchor, then the
+    same for Bi; built on the anchor's first use."""
+    ai, aip, bi, bip = _anchor_table()[anchor]
+    ai_pairs = _taylor_coefficients(anchor, ai, aip)
+    return ai, aip, ai_pairs, bi, bip, _taylor_coefficients(anchor, bi, bip)
 
 
 def _airy_marched(z: float) -> tuple[float, float, float, float]:
-    global _ANCHORS
-    if _ANCHORS is None:
-        _ANCHORS = _build_anchors()
     anchor = round(z / _ANCHOR_STEP) * _ANCHOR_STEP
     anchor = min(max(anchor, -_ASYMPTOTIC_EDGE), _ASYMPTOTIC_EDGE)
     if abs(anchor) < _MACLAURIN_EDGE:
         anchor = math.copysign(_MACLAURIN_EDGE, z)
-    ai0, aip0, bi0, bip0 = _ANCHORS[anchor]
+    ai0, aip0, ai_pairs, bi0, bip0, bi_pairs = _anchor_series(anchor)
     h = z - anchor
-    ai, aip = _taylor_step(anchor, ai0, aip0, h)
-    bi, bip = _taylor_step(anchor, bi0, bip0, h)
+    ai, aip = _taylor_sum(ai_pairs, ai0, aip0, h)
+    bi, bip = _taylor_sum(bi_pairs, bi0, bip0, h)
     return ai, aip, bi, bip
 
 

@@ -39,7 +39,7 @@ from .noise import (
 )
 from .scattering import BarrierSpec, Family, _check_energy, solve
 from .uncertainty import DerivativeMethod, dT_dl, uncertainty_of, uncertainty_product
-from .units import Energy
+from .units import Energy, Length
 
 __all__ = [
     "SweepVariable",
@@ -162,9 +162,11 @@ def _barrier_spec(family: Family, v0: float, phi: float, gap: float) -> BarrierS
     return BarrierSpec.linear_field(v0, phi, gap)
 
 
-def _point(config: SweepConfig, value: float) -> "tuple[Energy, BarrierSpec]":
-    """(energy, barrier) of the grid point where the swept variable is ``value``."""
+def _base_point(config: SweepConfig) -> "tuple[Energy, BarrierSpec]":
+    """(energy, barrier) where the swept variable is at its minimum; the
+    inputs it holds fixed are converted here, and only here."""
     variable = config.variable
+    value = config.minimum
     spec = _barrier_spec(
         config.family,
         config.v0_ev,
@@ -175,10 +177,23 @@ def _point(config: SweepConfig, value: float) -> "tuple[Energy, BarrierSpec]":
     return energy, spec
 
 
-def _point_values(config: SweepConfig, value: float, checked: tuple) -> dict:
-    """Every supported column at one grid point, in documented units; a
-    column named in ``checked`` that is not finite raises the domain error."""
-    result = uncertainty_product(*_point(config, value), config.n_electrons)
+def _moved(variable: SweepVariable, base: tuple, value: float) -> tuple:
+    """The point ``base`` with only the swept ``variable`` set to ``value``."""
+    energy, spec = base
+    if variable is SweepVariable.ENERGY:
+        return Energy.from_ev(value), spec
+    if variable is SweepVariable.GAP:
+        gap = Length.from_nm(value)
+        return energy, BarrierSpec(spec.family, spec.V0, spec.phi, gap)
+    return energy, BarrierSpec(spec.family, spec.V0, Energy.from_ev(value), spec.gap)
+
+
+def _point_values(config: SweepConfig, base: tuple, value: float, checked: tuple):
+    """Every supported column where the swept variable of ``base`` is
+    ``value``, in documented units, as a dict; a column named in
+    ``checked`` that is not finite raises the domain error."""
+    point = _moved(config.variable, base, value)
+    result = uncertainty_product(*point, config.n_electrons)
     values = {
         "T": result.solution.T,
         "R": result.solution.R,
@@ -200,12 +215,14 @@ def run_sweep(config: SweepConfig) -> tuple:
     Each row is a dict of the swept value and the requested columns.
     The inputs are checked once, at the swept variable's minimum, before
     the grid: a V0, E, gap or phi that fails every point alike raises.
+    Every grid point is that checked point with the swept variable moved.
     Grid points whose evaluation hits a domain or arithmetic error are
     omitted and counted in ``summary["skipped_rows"]``; bias sweeps
     additionally report nondecreasing verdicts for delta_p and the
     product, plus the zero-bias product value when that point evaluates.
     """
-    _check_energy(*_point(config, config.minimum))
+    base = _base_point(config)
+    _check_energy(*base)
     grid = _grid(config)
     variable = config.variable.value
     outputs = config.outputs
@@ -213,7 +230,7 @@ def run_sweep(config: SweepConfig) -> tuple:
     evaluated = []
     for value in grid:
         try:
-            values = _point_values(config, value, outputs)
+            values = _point_values(config, base, value, outputs)
         except (DomainError, ArithmeticError):
             continue
         rows.append({variable: value, **{name: values[name] for name in outputs}})
@@ -227,7 +244,7 @@ def run_sweep(config: SweepConfig) -> tuple:
             )
         try:
             summary["zero_bias_product_hbar"] = _point_values(
-                config, 0.0, ("product",)
+                config, base, 0.0, ("product",)
             )["product"]
         except (DomainError, ArithmeticError) as exc:
             print(
@@ -361,8 +378,18 @@ def _solve_dump(
     barrier: BarrierSpec, energy: Energy, n_electrons: float, i0_a: float
 ) -> str:
     sol = solve(energy, barrier)
-    transferred = transferred_fluxes(sol)
     residuals = jump_residuals(sol)
+    try:
+        result = uncertainty_of(sol, n_electrons)
+        transferred = result.fluxes
+        uncertainty = {
+            "delta_l_nm": result.delta_l.nm,
+            "delta_p_kg_m_s": result.delta_p,
+            "product_over_hbar": result.product_over_hbar,
+        }
+    except DomainError as exc:
+        transferred = transferred_fluxes(sol)
+        uncertainty = {"unavailable": str(exc)}
     payload = {
         "barrier": {
             "family": barrier.family.value,
@@ -404,16 +431,8 @@ def _solve_dump(
         "dT_dl_per_m": sol.dT_dl,
         "dT_dl_method": "analytic",
         "n_electrons": n_electrons,
+        "uncertainty": uncertainty,
     }
-    try:
-        result = uncertainty_of(sol, n_electrons)
-        payload["uncertainty"] = {
-            "delta_l_nm": result.delta_l.nm,
-            "delta_p_kg_m_s": result.delta_p,
-            "product_over_hbar": result.product_over_hbar,
-        }
-    except DomainError as exc:
-        payload["uncertainty"] = {"unavailable": str(exc)}
     if barrier.family is Family.SYMMETRIC_RECT:
         payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, sol)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

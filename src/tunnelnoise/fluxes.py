@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scattering import (
     ScatteringSolution,
@@ -73,8 +74,7 @@ class FluxReport:
     side: Side
 
 
-@dataclass(frozen=True)
-class TransferredFluxes:
+class TransferredFluxes(NamedTuple):
     """Momentum and momentum-squared fluxes absorbed by the wall at x = l.
 
     ``v2_description`` records which part of the barrier force was

@@ -28,7 +28,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .airy import airy_all, airy_scaled
 from .errors import DomainError, UsageError
@@ -170,8 +171,7 @@ class BarrierSpec:
         return self.V0.joules
 
 
-@dataclass(frozen=True)
-class _RectInterior:
+class _RectInterior(NamedTuple):
     """Interior wave anchored at the edges: ``g_plus`` multiplies the
     exponential growing toward the right edge ``b``, ``g_minus`` the one
     growing toward the left edge at 0.  Both anchored exponentials are
@@ -183,8 +183,7 @@ class _RectInterior:
     b: float
 
 
-@dataclass(frozen=True)
-class _AiryInterior:
+class _AiryInterior(NamedTuple):
     """Interior wave in scaled Airy form.
 
     ``g_ai``/``g_bi`` multiply the scaled Airy pair at the local
@@ -204,8 +203,7 @@ class _AiryInterior:
     b: float
 
 
-@dataclass(frozen=True)
-class ScatteringSolution:
+class ScatteringSolution(NamedTuple):
     """A solved stationary tunneling state.
 
     Attributes
@@ -249,7 +247,7 @@ class ScatteringSolution:
     incident_flux: float
     barrier: BarrierSpec
     energy: Energy
-    interior: object = field(repr=False, default=None)
+    interior: object = None
 
     @property
     def tilted_interior(self) -> bool:

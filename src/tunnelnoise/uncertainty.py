@@ -24,8 +24,7 @@ import dataclasses
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConsistencyError, DomainError, RangeError, UsageError
 from .fluxes import TransferredFluxes, transferred_fluxes
@@ -51,8 +50,7 @@ class DerivativeMethod(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class UncertaintyResult:
+class UncertaintyResult(NamedTuple):
     """Uncertainty pair of one solved barrier configuration.
 
     Attributes
@@ -69,6 +67,8 @@ class UncertaintyResult:
     solution : ScatteringSolution
         The solved state the pair was built from (``T``, ``R``, the gap
         derivative ``dT_dl`` and the amplitudes).
+    fluxes : TransferredFluxes
+        The wall fluxes ``delta_p`` was formed from.
     """
 
     delta_l: Length
@@ -76,6 +76,7 @@ class UncertaintyResult:
     product_over_hbar: float
     n_electrons: float
     solution: ScatteringSolution
+    fluxes: TransferredFluxes
 
 
 def _coerce_method(method: "DerivativeMethod | str") -> DerivativeMethod:
@@ -274,13 +275,15 @@ def uncertainty_of(sol: ScatteringSolution, N: float = 1.0) -> UncertaintyResult
     sits at exactly 1/2.
     """
     delta_l = position_uncertainty(sol, N)
-    delta_p = momentum_uncertainty(transferred_fluxes(sol), sol, N)
+    fluxes = transferred_fluxes(sol)
+    delta_p = momentum_uncertainty(fluxes, sol, N)
     return UncertaintyResult(
         delta_l=delta_l,
         delta_p=delta_p,
         product_over_hbar=delta_l.meters * delta_p / HBAR,
         n_electrons=_check_count(N),
         solution=sol,
+        fluxes=fluxes,
     )
 
 

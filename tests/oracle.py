@@ -491,6 +491,119 @@ def airy_quadrature_scaled(
 
 
 # --------------------------------------------------------------------------
+# Bit-level references for the Airy series loops
+# --------------------------------------------------------------------------
+#
+# The runtime reads its Maclaurin and Taylor coefficients from tables.
+# These are the loops it had before, which run every recurrence inline;
+# the tables must reproduce their results to the last bit, so the tests
+# compare the two with ``==``.
+
+
+def reference_maclaurin_pair(z: float) -> tuple[float, float, float, float]:
+    """f, f', g, g' of w'' = z w with the recurrence run inline."""
+    if z == 0.0:
+        return 1.0, 0.0, 0.0, 1.0
+    f, fp = 1.0, 0.0
+    g, gp = z, 1.0
+    cf, cg = 1.0, 1.0
+    z3 = z * z * z
+    power_f = 1.0
+    power_g = z
+    for k in range(40):
+        n_f = 3 * k
+        n_g = 3 * k + 1
+        cf = cf / ((n_f + 3) * (n_f + 2))
+        cg = cg / ((n_g + 3) * (n_g + 2))
+        power_f *= z3
+        power_g *= z3
+        term_f = cf * power_f
+        term_g = cg * power_g
+        f += term_f
+        g += term_g
+        fp += term_f * (n_f + 3) / z
+        gp += term_g * (n_g + 3) / z
+        if abs(term_f) < 1e-18 * abs(f) and abs(term_g) < 1e-18 * abs(g):
+            break
+    return f, fp, g, gp
+
+
+_TAYLOR_DIVISORS = tuple(float((n + 2) * (n + 1)) for n in range(60))
+_TAYLOR_ORDERS = tuple(float(n + 2) for n in range(60))
+
+
+def reference_taylor_step(
+    x0: float, w: float, wp: float, h: float
+) -> tuple[float, float]:
+    """Advance w'' = x w from (x0, w, w') to x0 + h, running the
+    coefficient recurrence (n+2)(n+1) t_{n+2} = x0 t_n + t_{n-1} inside
+    the summation loop."""
+    t_nm1 = 0.0
+    t_n = w
+    t_np1 = wp
+    sum_w = w
+    sum_wp = wp
+    hn = 1.0
+    for n in range(60):
+        t_np2 = (x0 * t_n + t_nm1) / _TAYLOR_DIVISORS[n]
+        hn *= h
+        term_w = t_np1 * hn
+        term_wp = _TAYLOR_ORDERS[n] * t_np2 * hn
+        sum_w += term_w
+        sum_wp += term_wp
+        if abs(term_w) < 1e-17 * abs(sum_w) and abs(term_wp) < 1e-17 * abs(sum_wp):
+            break
+        t_nm1, t_n, t_np1 = t_n, t_np1, t_np2
+    return sum_w, sum_wp
+
+
+def reference_airy_maclaurin(z: float) -> tuple[float, float, float, float]:
+    """Ai, Ai', Bi, Bi' for |z| <= 2 from :func:`reference_maclaurin_pair`."""
+    c1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+    c2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
+    sqrt3 = math.sqrt(3.0)
+    f, fp, g, gp = reference_maclaurin_pair(z)
+    return (
+        c1 * f - c2 * g,
+        c1 * fp - c2 * gp,
+        sqrt3 * (c1 * f + c2 * g),
+        sqrt3 * (c1 * fp + c2 * gp),
+    )
+
+
+def reference_anchors(
+    seed_at_nine: tuple[float, float],
+) -> dict[float, tuple[float, float, float, float]]:
+    """Half-integer anchor table on 2..9 and -9..-2, built with
+    :func:`reference_taylor_step`.
+
+    ``seed_at_nine`` is (Ai(9), Ai'(9)), where the downward Ai march
+    starts; the asymptotic series that supplies it is outside these
+    references.  Bi marches upward and Ai downward on the positive side;
+    both march downward on the negative side.
+    """
+    step = 0.5
+    anchors: dict[float, list[float]] = {2.0: list(reference_airy_maclaurin(2.0))}
+    bi, bip = anchors[2.0][2:]
+    for n in range(1, 15):
+        bi, bip = reference_taylor_step(2.0 + (n - 1) * step, bi, bip, step)
+        anchors[2.0 + n * step] = [math.nan, math.nan, bi, bip]
+    ai, aip = seed_at_nine
+    anchors[9.0][:2] = [ai, aip]
+    for n in range(1, 14):
+        ai, aip = reference_taylor_step(9.0 - (n - 1) * step, ai, aip, -step)
+        anchors[9.0 - n * step][:2] = [ai, aip]
+    ai, aip, bi, bip = reference_airy_maclaurin(-2.0)
+    anchors[-2.0] = [ai, aip, bi, bip]
+    for n in range(1, 15):
+        x = -2.0 - (n - 1) * step
+        ai, aip = reference_taylor_step(x, ai, aip, -step)
+        bi, bip = reference_taylor_step(x, bi, bip, -step)
+        anchors[x - step] = [ai, aip, bi, bip]
+    return {x: tuple(values) for x, values in anchors.items()}
+
+
+# --------------------------------------------------------------------------
 # Direct ODE integration of the stationary Schrodinger equation
 # --------------------------------------------------------------------------
 

@@ -1,10 +1,18 @@
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import airy_quadrature, airy_quadrature_scaled
+from oracle import (
+    airy_quadrature,
+    airy_quadrature_scaled,
+    reference_anchors,
+    reference_maclaurin_pair,
+    reference_taylor_step,
+)
+from tunnelnoise import airy
 from tunnelnoise.airy import airy_all, airy_scaled, _airy_maclaurin
 from tunnelnoise.errors import DomainError, RangeError
 
@@ -184,3 +192,70 @@ def test_domain_errors():
         airy_scaled(0.0)
     with pytest.raises(DomainError):
         airy_scaled(-3.0)
+
+
+# ------------------------------------------------ tabulated series, bit for bit
+
+ANCHORS = [0.5 * n for n in range(-18, 19) if abs(n) >= 4]
+
+
+def _identical(got, ref):
+    """Tuples equal to the last bit, NaN (an unset anchor slot) matching NaN."""
+    return len(got) == len(ref) and all(
+        a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, ref)
+    )
+
+
+def _reference_marched(z, anchors):
+    anchor = min(max(round(z / 0.5) * 0.5, -9.0), 9.0)
+    if abs(anchor) < 2.0:
+        anchor = math.copysign(2.0, z)
+    ai0, aip0, bi0, bip0 = anchors[anchor]
+    h = z - anchor
+    return (
+        *reference_taylor_step(anchor, ai0, aip0, h),
+        *reference_taylor_step(anchor, bi0, bip0, h),
+    )
+
+
+def test_anchor_table_matches_the_inline_recurrence():
+    ai_s, aip_s, _, _, zeta = airy._airy_asymptotic_positive(9.0)
+    seed = (ai_s * math.exp(-zeta), aip_s * math.exp(-zeta))
+    table = airy._build_anchors()
+    reference = reference_anchors(seed)
+    assert sorted(table) == sorted(reference) == ANCHORS
+    assert all(_identical(table[x], reference[x]) for x in ANCHORS)
+
+
+def test_marched_values_match_the_inline_recurrence_exactly():
+    rng = random.Random(20261018)
+    zs = [rng.choice((-1.0, 1.0)) * rng.uniform(2.0, 9.0) for _ in range(10000)]
+    for x in ANCHORS:
+        zs += [x - 1e-12, x + 1e-12, x - 0.25, x + 0.25]
+    zs = [z for z in zs if 2.0 < abs(z) < 9.0]
+    assert len(zs) > 10000
+    anchors = airy._build_anchors()
+    mismatched = [
+        z for z in zs if airy._airy_marched(z) != _reference_marched(z, anchors)
+    ]
+    assert mismatched == []
+
+
+def test_maclaurin_values_match_the_inline_recurrence_exactly():
+    rng = random.Random(20261019)
+    zs = [rng.uniform(-2.0, 2.0) for _ in range(2000)]
+    zs += [0.0, -0.0, 2.0, -2.0, 1e-300, -1e-12, 1.999999999999]
+    mismatched = [
+        z for z in zs if airy._maclaurin_pair(z) != reference_maclaurin_pair(z)
+    ]
+    assert mismatched == []
+
+
+def test_maclaurin_table_holds_the_inline_recurrence():
+    cf = cg = 1.0
+    assert len(airy._MACLAURIN_TERMS) == 40
+    for k, row in enumerate(airy._MACLAURIN_TERMS):
+        n_f, n_g = 3 * k, 3 * k + 1
+        cf = cf / ((n_f + 3) * (n_f + 2))
+        cg = cg / ((n_g + 3) * (n_g + 2))
+        assert row == (cf, cg, n_f + 3, n_g + 3)

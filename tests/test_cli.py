@@ -314,6 +314,26 @@ def test_unbounded_sweep_checks_its_fixed_inputs_at_the_minimum(capsys):
     assert "# skipped_rows: 3" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sweep", "E", "--E", "nan"],
+        ["--sweep", "gap", "--gap", "nan"],
+        ["--sweep", "phi", "--phi", "nan"],
+        ["--barrier", "sym", "--sweep", "gap", "--phi", "nan"],
+    ],
+    ids=["E-sweep", "gap-sweep", "phi-sweep", "sym-gap-sweep-phi"],
+)
+def test_sweep_rows_never_convert_an_input_the_sweep_does_not_use(capsys, argv):
+    # Each row moves only the swept variable of the checked base point,
+    # so a NaN given for the swept variable, or for a bias the symmetric
+    # barrier does not have, never reaches a row.
+    code, out, err = run(capsys, "sweep", *argv, "--steps", "3")
+    assert code == 0 and err == ""
+    _, _, rows, footer = parse_csv(out)
+    assert len(rows) == 3 and "# skipped_rows: 0" in footer
+
+
 def test_sweep_skips_the_row_whose_wavenumber_underflows(capsys):
     code, out, _ = run(
         capsys,

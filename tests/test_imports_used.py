@@ -1,4 +1,5 @@
-"""Import hygiene: every name a package module imports is used there.
+"""Import hygiene: every name a package module or a test module imports
+is used there.
 
 A name counts as used when the module reads it anywhere (a bare name or
 the base of an attribute chain) or re-exports it through ``__all__``.
@@ -12,7 +13,10 @@ import pytest
 
 import tunnelnoise
 
-MODULES = sorted(Path(tunnelnoise.__file__).parent.glob("*.py"))
+PACKAGE = sorted(Path(tunnelnoise.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+MODULES = PACKAGE + TESTS
+IDS = [p.name for p in PACKAGE] + [f"tests/{p.name}" for p in TESTS]
 
 
 def _imported_names(tree: ast.Module):
@@ -35,7 +39,7 @@ def _exported_names(tree: ast.Module) -> set:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -3,7 +3,7 @@ PSD reuse the solved state instead of evaluating it again."""
 
 import sys
 
-from tunnelnoise import airy, scattering
+from tunnelnoise import airy, fluxes, scattering
 from tunnelnoise.cli import main
 from tunnelnoise.scattering import BarrierSpec
 from tunnelnoise.uncertainty import uncertainty_product
@@ -57,3 +57,10 @@ def test_symmetric_sweep_with_s_fq_solves_each_row_once(monkeypatch, capsys):
     rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
     assert len(rows) == 5
     assert calls == ["solve"] * 5
+
+
+def test_solve_dump_forms_the_wall_fluxes_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, fluxes, ("transferred_fluxes",))
+    assert main(["solve", "--barrier", "asym", "--phi", "1"]) == 0
+    capsys.readouterr()
+    assert calls == ["transferred_fluxes"]

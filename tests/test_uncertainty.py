@@ -3,7 +3,6 @@ their product, and the transmission gap derivative."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 
@@ -146,11 +145,11 @@ def test_position_uncertainty_count_scaling():
 def test_position_uncertainty_rejects_degenerate_derivative():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
     with pytest.raises(DomainError, match="second-order"):
-        position_uncertainty(dataclasses.replace(sol, dT_dl=0.0), 1.0)
+        position_uncertainty(sol._replace(dT_dl=0.0), 1.0)
     with pytest.raises(DomainError):
-        position_uncertainty(dataclasses.replace(sol, dT_dl=math.nan), 1.0)
+        position_uncertainty(sol._replace(dT_dl=math.nan), 1.0)
     with pytest.raises(DomainError):
-        position_uncertainty(dataclasses.replace(sol, dT_dl=-1e9), 0.5)
+        position_uncertainty(sol._replace(dT_dl=-1e9), 0.5)
 
 
 # ------------------------------------------------- momentum_uncertainty
@@ -354,8 +353,6 @@ def test_result_records_provenance():
 
 def test_inconsistent_routes_raise_named_error():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
-    wrong_gap = dataclasses.replace(
-        sol, barrier=BarrierSpec.symmetric(5.0, 0.6)
-    )
+    wrong_gap = sol._replace(barrier=BarrierSpec.symmetric(5.0, 0.6))
     with pytest.raises(ConsistencyError, match="analytic"):
         dT_dl(wrong_gap, "both")
