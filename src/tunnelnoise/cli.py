@@ -25,13 +25,15 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .airy import airy_all
 from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import jump_residuals, transferred_fluxes
 from .noise import (
     ResonatorSpec,
+    _check_current,
+    _check_finite,
     feasibility_lhs,
     noise_budget,
     quantum_force_psd,
@@ -87,15 +89,7 @@ class OutputFormat(enum.Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated sweep request.
-
-    ``outputs`` is the ordered tuple of requested columns (subset of
-    T, R, delta_l, delta_p, product, s_fq); the swept variable's value
-    column is always emitted first.
-    """
-
+class _SweepFields(NamedTuple):
     family: Family
     v0_ev: float
     e_ev: float
@@ -109,7 +103,20 @@ class SweepConfig:
     n_electrons: float
     i0_a: float
 
-    def __post_init__(self) -> None:
+
+class SweepConfig(_SweepFields):
+    """Validated sweep request.
+
+    ``outputs`` is the ordered tuple of requested columns (subset of
+    T, R, delta_l, delta_p, product, s_fq); the swept variable's value
+    column is always emitted first.  An immutable named tuple;
+    constructing it checks the request.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.steps < 2:
             raise UsageError(f"steps must be >= 2, got {self.steps}")
         if not (self.minimum < self.maximum):
@@ -145,6 +152,7 @@ class SweepConfig:
                     f"E sweep max must stay below V0={self.v0_ev!r} eV, "
                     f"got {self.maximum!r}"
                 )
+        return self
 
 
 def _grid(config: SweepConfig) -> list:
@@ -214,7 +222,8 @@ def run_sweep(config: SweepConfig) -> tuple:
 
     Each row is a dict of the swept value and the requested columns.
     The inputs are checked once, at the swept variable's minimum, before
-    the grid: a V0, E, gap or phi that fails every point alike raises.
+    the grid: a V0, E, gap or phi that fails every point alike raises,
+    and so does a bad I0 when the s_fq column is asked for.
     Every grid point is that checked point with the swept variable moved.
     Grid points whose evaluation hits a domain or arithmetic error are
     omitted and counted in ``summary["skipped_rows"]``; bias sweeps
@@ -223,6 +232,8 @@ def run_sweep(config: SweepConfig) -> tuple:
     """
     base = _base_point(config)
     _check_energy(*base)
+    if "s_fq" in config.outputs:
+        _check_current(config.i0_a)
     grid = _grid(config)
     variable = config.variable.value
     outputs = config.outputs
@@ -374,6 +385,17 @@ def _complex_json(value: complex) -> dict:
     return {"re": clean(value.real), "im": clean(value.imag)}
 
 
+def _dump_floats(payload: dict, prefix: str = ""):
+    """``(dotted key, value)`` of every float in ``payload``, in the
+    order the dump prints them."""
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, dict):
+            yield from _dump_floats(value, f"{prefix}{key}.")
+        elif isinstance(value, float):
+            yield f"{prefix}{key}", value
+
+
 def _solve_dump(
     barrier: BarrierSpec, energy: Energy, n_electrons: float, i0_a: float
 ) -> str:
@@ -435,7 +457,9 @@ def _solve_dump(
     }
     if barrier.family is Family.SYMMETRIC_RECT:
         payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, sol)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # JSON has no spelling for inf or NaN: name the first one instead.
+    _check_finite(_dump_floats(payload))
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # --------------------------------------------------------------- selftest

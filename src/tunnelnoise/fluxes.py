@@ -17,7 +17,6 @@ converge, so it is never attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .scattering import (
@@ -41,8 +40,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class FluxReport:
+class FluxReport(NamedTuple):
     """Densities and currents of the three transport laws at one point.
 
     Attributes
@@ -90,8 +88,7 @@ class TransferredFluxes(NamedTuple):
     scaled_j_p2_t: "float | None" = None
 
 
-@dataclass(frozen=True)
-class JumpResiduals:
+class JumpResiduals(NamedTuple):
     """Closure residuals of the four step-discontinuity relations.
 
     Each residual is the absolute mismatch of one relation, expressed

@@ -20,7 +20,7 @@ number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import transferred_fluxes
@@ -40,10 +40,18 @@ __all__ = [
 ]
 
 _ROUTE_AGREEMENT = 1e-10
+# The floating-point figures of a NoiseBudget, in field order.
+_BUDGET_FIGURES = ("s_fq", "s_fl", "feasibility_lhs", "psd_ratio", "shot_psd")
 
 
-@dataclass(frozen=True)
-class ResonatorSpec:
+class _ResonatorFields(NamedTuple):
+    mass: float
+    f0: float
+    quality: float
+    temperature: float
+
+
+class ResonatorSpec(_ResonatorFields):
     """Mechanical readout resonator parameters.
 
     Attributes
@@ -56,14 +64,14 @@ class ResonatorSpec:
         Quality factor Q (dimensionless).
     temperature : float
         Bath temperature, K.
+
+    An immutable named tuple; constructing it checks every field.
     """
 
-    mass: float
-    f0: float
-    quality: float
-    temperature: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, mass: float, f0: float, quality: float, temperature: float):
+        self = super().__new__(cls, mass, f0, quality, temperature)
         for name in ("mass", "f0", "quality", "temperature"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -72,10 +80,10 @@ class ResonatorSpec:
                 raise DomainError(
                     f"resonator {name} must be strictly positive, got {value!r}"
                 )
+        return self
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
+class NoiseBudget(NamedTuple):
     """Assembled noise comparison for one operating point.
 
     Attributes
@@ -130,6 +138,16 @@ def _check_current(I0: float) -> float:
     return current
 
 
+def _check_finite(figures) -> None:
+    """Raise the domain error naming the first ``(name, value)`` pair
+    whose value is not finite, so no inf or NaN figure is reported."""
+    for name, value in figures:
+        if not math.isfinite(value):
+            raise DomainError(
+                f"{name} is not finite at this operating point, got {value!r}"
+            )
+
+
 def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
     """Single-sided quantum force PSD of the tunneling readout, N^2/Hz.
 
@@ -143,7 +161,9 @@ def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
 
     and twice the per-conducted-electron momentum-kick variance times
     the electron rate ``I0/e`` (one conducted electron corresponds to
-    ``1/T`` attempts).  They must agree to 1e-10 relative.
+    ``1/T`` attempts).  They must agree to 1e-10 relative, and both
+    must be finite: an input so large that either overflows raises the
+    domain error.
     """
     current = _check_current(I0)
     _check_symmetric(sol.barrier)
@@ -166,6 +186,7 @@ def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
     )
     kick = momentum_uncertainty(transferred_fluxes(sol), sol, N=1.0 / sol.T)
     from_kicks = 2.0 * kick**2 * rate
+    _check_finite((("s_fq", closed), ("s_fq by the kick-variance route", from_kicks)))
     if abs(closed - from_kicks) > _ROUTE_AGREEMENT * max(abs(closed), abs(from_kicks)):
         raise ConsistencyError(
             "quantum-force-PSD routes disagree beyond 1e-10 relative: "
@@ -242,13 +263,14 @@ def noise_budget(
     The quantum PSD needs the symmetric flat barrier; ``psd_ratio`` is
     the directly computed ``s_fl/s_fq``, reported alongside the
     normalized ``feasibility_lhs`` without asserting their O(1)
-    relation.
+    relation.  A figure that is not finite raises the domain error that
+    names it.
     """
     current = _check_current(I0)
     _check_symmetric(spec)
     s_fq = quantum_force_psd(current, solve(E, spec))
     s_fl = langevin_force_psd(res)
-    return NoiseBudget(
+    budget = NoiseBudget(
         s_fq=s_fq,
         s_fl=s_fl,
         feasibility_lhs=feasibility_lhs(current, res),
@@ -258,3 +280,5 @@ def noise_budget(
         electron_energy=E.ev,
         barrier=spec,
     )
+    _check_finite((name, getattr(budget, name)) for name in _BUDGET_FIGURES)
+    return budget

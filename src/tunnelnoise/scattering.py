@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .airy import airy_all, airy_scaled
@@ -88,8 +87,14 @@ class Side(enum.Enum):
     RIGHT_LIMIT = "right_limit"
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
+class _BarrierFields(NamedTuple):
+    family: Family
+    V0: Energy
+    phi: Energy
+    gap: Length
+
+
+class BarrierSpec(_BarrierFields):
     """Geometry and energetics of a single tunneling barrier.
 
     The barrier occupies ``0 <= x <= gap``: the left edge sits at the
@@ -106,14 +111,16 @@ class BarrierSpec:
         The right exterior sits at ``-phi``.
     gap : Length
         Barrier width ``l``.
+
+    The record is an immutable named tuple.  Constructing it checks the
+    fields; ``_replace`` does not, so build a changed barrier with
+    ``BarrierSpec(...)``.
     """
 
-    family: Family
-    V0: Energy
-    phi: Energy
-    gap: Length
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, family: Family, V0: Energy, phi: Energy, gap: Length):
+        self = super().__new__(cls, family, V0, phi, gap)
         if not self.gap.meters > 0.0:
             raise DomainError(f"barrier gap must be positive, got {self.gap.meters} m")
         if not self.V0.joules > 0.0:
@@ -125,6 +132,7 @@ class BarrierSpec:
                 "symmetric barrier requires a zero potential drop, got "
                 f"{self.phi.ev} eV"
             )
+        return self
 
     @classmethod
     def symmetric(cls, v0_ev: float, gap_nm: float) -> "BarrierSpec":
@@ -258,8 +266,7 @@ class ScatteringSolution(NamedTuple):
         return isinstance(self.interior, _AiryInterior)
 
 
-@dataclass(frozen=True)
-class WavefunctionSample:
+class WavefunctionSample(NamedTuple):
     """Wavefunction value and first three derivatives at one point."""
 
     x: Length

@@ -20,7 +20,6 @@ against each other.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import sys
@@ -156,7 +155,8 @@ def _numeric_dT_dl(sol: ScatteringSolution) -> float:
     barrier = sol.barrier
 
     def t_at_scale(scale: float) -> float:
-        displaced = dataclasses.replace(barrier, gap=Length(gap * scale))
+        gap_at_scale = Length(gap * scale)
+        displaced = BarrierSpec(barrier.family, barrier.V0, barrier.phi, gap_at_scale)
         return solve(sol.energy, displaced).T
 
     derivative, _ = finite_diff(t_at_scale, 1.0, rel_step=1e-6)

@@ -9,7 +9,6 @@ with the raw floats they carry; wavenumbers are plain floats in 1/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 
@@ -50,11 +49,49 @@ def joules_to_ev(energy_j: float) -> float:
     return energy_j / EV
 
 
-@dataclass(frozen=True)
-class Energy:
+class _Tagged:
+    """A float tagged with its unit, held in the subclass's one slot.
+
+    Immutable, hashable, and equal only to an instance of the same
+    class holding an equal value, so an ``Energy`` never equals a
+    ``Length`` or a bare float.  No arithmetic is defined: ``2 * energy``
+    raises ``TypeError``.
+    """
+
+    __slots__ = ()
+
+    def _value(self) -> float:
+        return getattr(self, self.__slots__[0])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        # Compared as one-tuples, so an instance holding NaN equals itself.
+        if other.__class__ is self.__class__:
+            return (self._value(),) == (other._value(),)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._value(),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._value()!r})"
+
+    def __reduce__(self):
+        return type(self), (self._value(),)
+
+
+class Energy(_Tagged):
     """An energy tagged with its SI value in joules."""
 
-    joules: float
+    __slots__ = ("joules",)
+
+    def __init__(self, joules: float) -> None:
+        object.__setattr__(self, "joules", joules)
 
     @classmethod
     def from_ev(cls, value_ev: float) -> "Energy":
@@ -67,11 +104,13 @@ class Energy:
         return joules_to_ev(self.joules)
 
 
-@dataclass(frozen=True)
-class Length:
+class Length(_Tagged):
     """A length tagged with its SI value in meters."""
 
-    meters: float
+    __slots__ = ("meters",)
+
+    def __init__(self, meters: float) -> None:
+        object.__setattr__(self, "meters", meters)
 
     @classmethod
     def from_nm(cls, value_nm: float) -> "Length":

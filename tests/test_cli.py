@@ -187,6 +187,8 @@ def test_json_and_csv_agree_on_row_values(capsys):
 
 # ------------------------------------------------------------ exit codes
 
+S_FQ = ["--columns", "T,s_fq"]
+
 
 @pytest.mark.parametrize(
     "argv, fragment",
@@ -232,6 +234,24 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         (["sweep", "--sweep", "gap", "--E", "7"], "E < V0"),
         (["sweep", "--sweep", "gap", "--E", "-1"], "incident energy"),
         (["sweep", "--sweep", "E", "--gap", "-1"], "barrier gap"),
+        (["feasibility", "--I0", "1e300"], "s_fq is not finite"),
+        (["feasibility", "--I0", "1e300", "--format", "json"], "s_fq is not finite"),
+        (["feasibility", "--mass", "1e300"], "feasibility_lhs is not finite"),
+        (["feasibility", "--mass", "1e300", "--format", "json"], "feasibility_lhs"),
+        (["feasibility", "--temp", "1e300", "--f0", "1e300"], "s_fl is not finite"),
+        (["solve", "--I0", "1e300"], "s_fq is not finite"),
+        (
+            ["solve", "--barrier", "field", "--phi", "1", "--gap", "1e300"],
+            "dT_dl_per_m is not finite",
+        ),
+        (["sweep", "--barrier", "sym", "--sweep", "gap", *S_FQ, "--I0", "-1"], "current"),
+        (["sweep", "--barrier", "sym", "--sweep", "gap", *S_FQ, "--I0", "0"], "current"),
+        (["sweep", "--barrier", "sym", "--sweep", "E", *S_FQ, "--I0", "inf"], "current"),
+        (
+            ["sweep", "--barrier", "sym", "--sweep", "gap", *S_FQ, "--I0", "nan",
+             "--format", "json"],
+            "current must be positive and finite, got nan",
+        ),
     ],
     ids=[
         "solve-E-above-V0",
@@ -250,11 +270,23 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "sweep-gap-E-above-V0",
         "sweep-gap-negative-E",
         "sweep-E-negative-gap",
+        "feasibility-I0-overflows-s-fq",
+        "feasibility-json-I0-overflows-s-fq",
+        "feasibility-mass-overflows-lhs",
+        "feasibility-json-mass-overflows-lhs",
+        "feasibility-overflows-s-fl",
+        "solve-I0-overflows-s-fq",
+        "solve-field-gap-1e300-nan-derivative",
+        "sweep-s_fq-negative-I0",
+        "sweep-s_fq-zero-I0",
+        "sweep-E-s_fq-inf-I0",
+        "sweep-s_fq-nan-I0-json",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 3 and fragment in err
+    assert out == ""
 
 
 def test_opaque_symmetric_solve_is_a_value(capsys):
@@ -321,13 +353,21 @@ def test_unbounded_sweep_checks_its_fixed_inputs_at_the_minimum(capsys):
         ["--sweep", "gap", "--gap", "nan"],
         ["--sweep", "phi", "--phi", "nan"],
         ["--barrier", "sym", "--sweep", "gap", "--phi", "nan"],
+        ["--barrier", "sym", "--sweep", "gap", "--I0", "nan"],
     ],
-    ids=["E-sweep", "gap-sweep", "phi-sweep", "sym-gap-sweep-phi"],
+    ids=[
+        "E-sweep",
+        "gap-sweep",
+        "phi-sweep",
+        "sym-gap-sweep-phi",
+        "sweep-without-s_fq-I0",
+    ],
 )
 def test_sweep_rows_never_convert_an_input_the_sweep_does_not_use(capsys, argv):
     # Each row moves only the swept variable of the checked base point,
-    # so a NaN given for the swept variable, or for a bias the symmetric
-    # barrier does not have, never reaches a row.
+    # so a NaN given for the swept variable, for a bias the symmetric
+    # barrier does not have, or for a current no column uses, never
+    # reaches a row.
     code, out, err = run(capsys, "sweep", *argv, "--steps", "3")
     assert code == 0 and err == ""
     _, _, rows, footer = parse_csv(out)
@@ -573,17 +613,16 @@ def test_selftest_passes(capsys):
 
 
 def test_cli_import_loads_no_numeric_packages():
-    # A fresh interpreter: the test suite itself has numpy and scipy loaded.
+    # A fresh interpreter: the test suite itself has numpy and scipy
+    # loaded.  The probe also guards against dataclasses and inspect.
     src = str(Path(tunnelnoise.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, tunnelnoise.cli; "
-        "print(sorted({name.partition('.')[0] for name in sys.modules} "
-        "& {'numpy', 'scipy', 'mpmath'}))"
-    )
+    probe = Path(__file__).with_name("cold_import_probe.py")
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        [sys.executable, str(probe)], env=env, capture_output=True, text=True
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.returncode == 0, done.stdout + done.stderr
+    location, _, loaded = done.stdout.strip().rpartition(": ")
+    assert Path(location).resolve() == Path(src, "tunnelnoise", "cli.py")
+    assert loaded == "[]"

@@ -79,6 +79,8 @@ def test_quantum_psd_rejects_bad_inputs():
         quantum_force_psd(0.0, solve(e, BarrierSpec.symmetric(5.0, 0.5)))
     with pytest.raises(DomainError):
         quantum_force_psd(-1e-6, solve(e, BarrierSpec.symmetric(5.0, 0.5)))
+    with pytest.raises(DomainError, match="^s_fq is not finite"):
+        quantum_force_psd(1e300, solve(e, BarrierSpec.symmetric(5.0, 0.5)))
 
 
 # ----------------------------------------------------- langevin_force_psd
@@ -191,3 +193,19 @@ def test_budget_assembly_and_ratio_report():
     # near 1/4 (the normalization assumes a decay constant of 1e10 1/m
     # while this barrier gives 1.025e10).
     assert 0.1 < budget.psd_ratio / budget.feasibility_lhs < 0.5
+
+
+@pytest.mark.parametrize(
+    "I0, changes, name",
+    [
+        (1e300, {}, "s_fq"),
+        (1e-6, {"f0": 1e300, "temperature": 1e300}, "s_fl"),
+        (1e-6, {"mass": 1e300}, "feasibility_lhs"),
+    ],
+    ids=["s_fq", "s_fl", "feasibility_lhs"],
+)
+def test_budget_names_its_first_non_finite_figure(I0, changes, name):
+    resonator = ResonatorSpec(**{**NOMINAL._asdict(), **changes})
+    spec = BarrierSpec.symmetric(5.0, 0.5)
+    with pytest.raises(DomainError, match=f"^{name} is not finite"):
+        noise_budget(I0, resonator, Energy.from_ev(1.0), spec)
