@@ -353,7 +353,7 @@ def airy_all(z: float) -> AiryQuad:
         vals = (ai_s / grow, aip_s / grow, bi_s * grow, bip_s * grow)
     else:
         vals = _airy_asymptotic_negative(z)
-    return AiryQuad(*vals, argument=z)
+    return AiryQuad(*vals, z)
 
 
 def airy_scaled(z: float) -> tuple[AiryQuad, float]:
@@ -369,11 +369,11 @@ def airy_scaled(z: float) -> tuple[AiryQuad, float]:
         raise DomainError(f"scaled Airy evaluation needs finite z > 0, got {z}")
     if z >= _ASYMPTOTIC_EDGE:
         ai_s, aip_s, bi_s, bip_s, zeta = _airy_asymptotic_positive(z)
-        return AiryQuad(ai_s, aip_s, bi_s, bip_s, argument=z), zeta
+        return AiryQuad(ai_s, aip_s, bi_s, bip_s, z), zeta
     if z <= _MACLAURIN_EDGE:
         ai, aip, bi, bip = _airy_maclaurin(z)
     else:
         ai, aip, bi, bip = _airy_marched(z)
     zeta = (2.0 / 3.0) * z * math.sqrt(z)
     grow = math.exp(zeta)
-    return AiryQuad(ai * grow, aip * grow, bi / grow, bip / grow, argument=z), zeta
+    return AiryQuad(ai * grow, aip * grow, bi / grow, bip / grow, z), zeta

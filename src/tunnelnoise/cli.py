@@ -196,25 +196,24 @@ def _moved(variable: SweepVariable, base: tuple, value: float) -> tuple:
     return energy, BarrierSpec(spec.family, spec.V0, Energy.from_ev(value), spec.gap)
 
 
-def _point_values(config: SweepConfig, base: tuple, value: float, checked: tuple):
+def _point_values(config: SweepConfig, base: tuple, value: float) -> tuple:
     """Every supported column where the swept variable of ``base`` is
-    ``value``, in documented units, as a dict; a column named in
-    ``checked`` that is not finite raises the domain error."""
+    ``value``, in documented units and in ``_ALL_COLUMNS`` order; s_fq
+    is None unless the sweep asks for it."""
     point = _moved(config.variable, base, value)
     result = uncertainty_product(*point, config.n_electrons)
-    values = {
-        "T": result.solution.T,
-        "R": result.solution.R,
-        "delta_l": result.delta_l.nm,
-        "delta_p": result.delta_p,
-        "product": result.product_over_hbar,
-    }
+    sol = result.solution
+    s_fq = None
     if "s_fq" in config.outputs:
-        values["s_fq"] = quantum_force_psd(config.i0_a, result.solution)
-    for name in checked:
-        if not math.isfinite(values[name]):
-            raise DomainError(f"column {name} is not finite at {value!r}")
-    return values
+        s_fq = quantum_force_psd(config.i0_a, sol, result.fluxes)
+    return (
+        sol.T,
+        sol.R,
+        result.delta_l.nm,
+        result.delta_p,
+        result.product_over_hbar,
+        s_fq,
+    )
 
 
 def run_sweep(config: SweepConfig) -> tuple:
@@ -225,38 +224,44 @@ def run_sweep(config: SweepConfig) -> tuple:
     the grid: a V0, E, gap or phi that fails every point alike raises,
     and so does a bad I0 when the s_fq column is asked for.
     Every grid point is that checked point with the swept variable moved.
-    Grid points whose evaluation hits a domain or arithmetic error are
-    omitted and counted in ``summary["skipped_rows"]``; bias sweeps
-    additionally report nondecreasing verdicts for delta_p and the
-    product, plus the zero-bias product value when that point evaluates.
+    Grid points whose evaluation hits a domain or arithmetic error, or
+    gives a requested column that is not finite, are omitted and counted
+    in ``summary["skipped_rows"]``; bias sweeps additionally report
+    nondecreasing verdicts for delta_p and the product, plus the
+    zero-bias product value when that point evaluates.
     """
     base = _base_point(config)
     _check_energy(*base)
     if "s_fq" in config.outputs:
         _check_current(config.i0_a)
     grid = _grid(config)
-    variable = config.variable.value
     outputs = config.outputs
+    header = (config.variable.value, *outputs)
+    picks = [_ALL_COLUMNS.index(name) for name in outputs]
     rows = []
     evaluated = []
     for value in grid:
         try:
-            values = _point_values(config, base, value, outputs)
+            cells = _point_values(config, base, value)
         except (DomainError, ArithmeticError):
             continue
-        rows.append({variable: value, **{name: values[name] for name in outputs}})
-        evaluated.append(values)
+        picked = [cells[i] for i in picks]
+        if all(map(math.isfinite, picked)):
+            rows.append(dict(zip(header, [value, *picked])))
+            evaluated.append(cells)
     summary = {"skipped_rows": len(grid) - len(rows)}
     if config.variable is SweepVariable.BIAS_PHI:
         for name in ("delta_p", "product"):
-            column = [values[name] for values in evaluated]
+            index = _ALL_COLUMNS.index(name)
+            column = [cells[index] for cells in evaluated]
             summary[f"{name}_nondecreasing"] = all(
                 b >= a for a, b in zip(column, column[1:])
             )
         try:
-            summary["zero_bias_product_hbar"] = _point_values(
-                config, base, 0.0, ("product",)
-            )["product"]
+            product = _point_values(config, base, 0.0)[_ALL_COLUMNS.index("product")]
+            if not math.isfinite(product):
+                raise DomainError("column product is not finite at 0.0")
+            summary["zero_bias_product_hbar"] = product
         except (DomainError, ArithmeticError) as exc:
             print(
                 f"zero-bias product left out: {type(exc).__name__}: {exc}",
@@ -269,8 +274,9 @@ def _format_csv(config: SweepConfig, rows, summary) -> str:
     header = [config.variable.value, *config.outputs]
     units = [_UNIT_LABELS[name] for name in header]
     lines = [",".join(header), "# units: " + ",".join(units)]
-    for row in rows:
-        lines.append(",".join(f"{cell:.11e}" for cell in row.values()))
+    if rows:
+        template = ",".join(["%.11e"] * len(rows[0]))
+        lines += [template % tuple(row.values()) for row in rows]
     for key, value in summary.items():
         if isinstance(value, bool):
             value = "true" if value else "false"
@@ -278,6 +284,32 @@ def _format_csv(config: SweepConfig, rows, summary) -> str:
             value = f"{value:.11e}"
         lines.append(f"# {key}: {value}")
     return "\n".join(lines) + "\n"
+
+
+def _json_block(value) -> str:
+    """``value`` as the sweep's JSON writes it one level deep."""
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    # JSON strings hold no raw newline, so this indents every line.
+    return text.replace("\n", "\n  ")
+
+
+def _json_rows(rows) -> str:
+    """The rows array as ``_json_block`` would write it, without the
+    pure-Python encoder that ``json`` uses under an indent.
+
+    Every row has the keys of the first, and ``json`` writes a float as
+    its ``float.__repr__``.  A value that is not finite raises the
+    domain error naming it.
+    """
+    if not rows:
+        return "[]"
+    keys = sorted(rows[0])
+    cells = [row[key] for row in rows for key in keys]
+    if not all(map(math.isfinite, cells)):
+        _check_finite((f"rows.{key}", row[key]) for row in rows for key in keys)
+    item = ",\n".join(f"      {json.dumps(key)}: %r" for key in keys)
+    items = ",\n    ".join(["{\n" + item + "\n    }"] * len(rows))
+    return "[\n    " + items % tuple(cells) + "\n  ]"
 
 
 def _format_json(config: SweepConfig, rows, summary) -> str:
@@ -298,10 +330,20 @@ def _format_json(config: SweepConfig, rows, summary) -> str:
             "I0_a": config.i0_a,
             "units": {name: _UNIT_LABELS[name] for name in (var_name, *config.outputs)},
         },
-        "rows": rows,
         "summary": summary,
     }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # JSON has no spelling for inf or NaN: name the first one instead,
+    # also for an input that no row uses.
+    _check_finite(_dump_floats(payload))
+    return (
+        '{\n  "config": '
+        + _json_block(payload["config"])
+        + ',\n  "rows": '
+        + _json_rows(rows)
+        + ',\n  "summary": '
+        + _json_block(summary)
+        + "\n}\n"
+    )
 
 
 def _emit(text: str, out_path: "str | None") -> None:
@@ -456,7 +498,7 @@ def _solve_dump(
         "uncertainty": uncertainty,
     }
     if barrier.family is Family.SYMMETRIC_RECT:
-        payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, sol)
+        payload["s_fq_n2_per_hz"] = quantum_force_psd(i0_a, sol, transferred)
     # JSON has no spelling for inf or NaN: name the first one instead.
     _check_finite(_dump_floats(payload))
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -225,14 +225,14 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
             / _TWO_PI
         )
         return TransferredFluxes(
-            j_p_t=j_p_t,
-            j_p2_t=j_p2_per_t * sol.T / _TWO_PI,
-            v2_description=(
+            j_p_t,
+            j_p2_per_t * sol.T / _TWO_PI,
+            (
                 "full right-edge step assigned to the wall; fluxes equal "
                 "the interior currents at the right edge"
             ),
-            exponent=exponent,
-            scaled_j_p2_t=j_p2_per_t * math.ldexp(sol.T, 2 * exponent) / _TWO_PI,
+            exponent,
+            j_p2_per_t * math.ldexp(sol.T, 2 * exponent) / _TWO_PI,
         )
 
     # Exterior values written through T rather than |r|^2: the model
@@ -249,9 +249,9 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     j_p2_in_a = j_p2_a - 2.0 * ELECTRON_MASS * j_const * step_a
     j_p2_in_b = j_p2_b + 2.0 * ELECTRON_MASS * j_const * step_b
     return TransferredFluxes(
-        j_p_t=0.5 * (j_p_in_a + j_p_in_b),
-        j_p2_t=0.5 * (j_p2_in_a + j_p2_in_b),
-        v2_description=(
+        0.5 * (j_p_in_a + j_p_in_b),
+        0.5 * (j_p2_in_a + j_p2_in_b),
+        (
             "half the interior slope force assigned to each electrode "
             "plus the full right-edge step to the wall; fluxes are "
             "half-sums of the interior currents at the two edges"

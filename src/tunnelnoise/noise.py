@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, UsageError
-from .fluxes import transferred_fluxes
+from .fluxes import TransferredFluxes, transferred_fluxes
 from .scattering import BarrierSpec, Family, ScatteringSolution, solve
 from .uncertainty import momentum_uncertainty
 from .units import BOLTZMANN, ELEMENTARY_CHARGE, HBAR, Energy, Length
@@ -148,14 +148,18 @@ def _check_finite(figures) -> None:
             )
 
 
-def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
+def quantum_force_psd(
+    I0: float, sol: ScatteringSolution, fluxes: TransferredFluxes | None = None
+) -> float:
     """Single-sided quantum force PSD of the tunneling readout, N^2/Hz.
 
-    ``sol`` is the solved state of the operating point.  Valid for the
-    flat symmetric barrier (the operating regime treats the junction as
-    one; biased families must be approximated by their rectangular
-    equivalent explicitly by the caller).  Two routes are evaluated: the
-    closed form
+    ``sol`` is the solved state of the operating point.  ``fluxes`` are
+    its wall fluxes when the caller has formed them already (as
+    ``UncertaintyResult.fluxes`` carries them); without them they are
+    formed here.  Valid for the flat symmetric barrier (the operating
+    regime treats the junction as one; biased families must be
+    approximated by their rectangular equivalent explicitly by the
+    caller).  Two routes are evaluated: the closed form
 
         ``(I0/e) hbar^2 k^2 (1/2) [ (1+(k0/k)^2)^2 - (1-(k0/k)^2)^2 (1-T) ]``
 
@@ -163,7 +167,9 @@ def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
     the electron rate ``I0/e`` (one conducted electron corresponds to
     ``1/T`` attempts).  They must agree to 1e-10 relative, and both
     must be finite: an input so large that either overflows raises the
-    domain error.
+    domain error.  Both routes still run when the caller passes the
+    fluxes, so the agreement check also catches fluxes that do not
+    belong to ``sol``.
     """
     current = _check_current(I0)
     _check_symmetric(sol.barrier)
@@ -184,7 +190,9 @@ def quantum_force_psd(I0: float, sol: ScatteringSolution) -> float:
         * 0.5
         * ((1.0 + ratio_sq) ** 2 - (1.0 - ratio_sq) ** 2 * (1.0 - sol.T))
     )
-    kick = momentum_uncertainty(transferred_fluxes(sol), sol, N=1.0 / sol.T)
+    if fluxes is None:
+        fluxes = transferred_fluxes(sol)
+    kick = momentum_uncertainty(fluxes, sol, N=1.0 / sol.T)
     from_kicks = 2.0 * kick**2 * rate
     _check_finite((("s_fq", closed), ("s_fq by the kick-variance route", from_kicks)))
     if abs(closed - from_kicks) > _ROUTE_AGREEMENT * max(abs(closed), abs(from_kicks)):

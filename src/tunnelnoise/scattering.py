@@ -286,6 +286,18 @@ def _saturating_scale(value: complex, exponent: float) -> complex:
     return value * math.exp(exponent)
 
 
+def _transmitted_phase(k_bar: float, spec: BarrierSpec) -> complex:
+    """``exp(-i k_bar l)``; a phase ``k_bar l`` that overflows, for which
+    ``cmath.exp`` raises a bare ``ValueError``, raises the domain error."""
+    try:
+        return cmath.exp(-1j * k_bar * spec.gap.meters)
+    except ValueError:
+        raise DomainError(
+            f"transmitted-wave phase k_bar*l overflows at phi = {spec.phi.ev} eV, "
+            f"gap = {spec.gap.nm} nm"
+        ) from None
+
+
 def _check_energy(energy: Energy, spec: BarrierSpec) -> None:
     e = energy.joules
     if not e > 0.0:
@@ -320,7 +332,7 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     d_hat = 0.5 * complex(k0 * (k + k_bar) * one_p, (k0 * k0 - k * k_bar) * one_m)
 
     # t_anchored carries everything except the exp(-u) tunneling factor.
-    t_anchored = 2.0 * k * k0 * cmath.exp(-1j * k_bar * length) / d_hat
+    t_anchored = 2.0 * k * k0 * _transmitted_phase(k_bar, spec) / d_hat
     t = t_anchored * math.exp(-u) if u <= _MAX_EXPONENT else 0j
     r = complex(k0 * (k - k_bar) * one_p, -(k * k_bar + k0 * k0) * one_m) / (
         2.0 * d_hat
@@ -344,21 +356,22 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     g_plus = 0.5 * t * phase_b * complex(1.0, k_bar / k0)
     g_minus = 0.5 * t_anchored * phase_b * complex(1.0, -k_bar / k0)
 
+    # Positional: a keyword call of a named tuple costs a kwargs dict.
     return ScatteringSolution(
-        t=t,
-        r=r,
-        c_plus=_saturating_scale(g_plus, -k0 * length),
-        c_minus=g_minus,
-        T=T,
-        R=R,
-        dT_dl=dT_dl,
-        k=k,
-        k_bar=k_bar,
-        k0=k0,
-        incident_flux=HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
-        barrier=spec,
-        energy=energy,
-        interior=_RectInterior(g_plus=g_plus, g_minus=g_minus, k0=k0, b=length),
+        t,
+        r,
+        _saturating_scale(g_plus, -k0 * length),
+        g_minus,
+        T,
+        R,
+        dT_dl,
+        k,
+        k_bar,
+        k0,
+        HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
+        spec,
+        energy,
+        _RectInterior(g_plus, g_minus, k0, length),
     )
 
 
@@ -458,7 +471,7 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
             f"E = {energy.ev} eV, phi = {spec.phi.ev} eV"
         )
 
-    phase = cmath.exp(-1j * k_bar * length)
+    phase = _transmitted_phase(k_bar, spec)
     damp = math.exp(-delta_zeta) if delta_zeta <= _MAX_EXPONENT else 0.0
     t = -(2j * k / math.pi) * kappa * phase * damp / f_tilde
     T = min(
@@ -503,28 +516,20 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     g_bi = 2j * k * p_b / f_tilde
 
     return ScatteringSolution(
-        t=t,
-        r=r,
-        c_plus=_saturating_scale(g_ai, 2.0 * zeta_b - zeta_a),
-        c_minus=_saturating_scale(g_bi, -zeta_a),
-        T=T,
-        R=R,
-        dT_dl=dT_dl,
-        k=k,
-        k_bar=k_bar,
-        k0=k0,
-        incident_flux=HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
-        barrier=spec,
-        energy=energy,
-        interior=_AiryInterior(
-            g_ai=g_ai,
-            g_bi=g_bi,
-            alpha_cbrt=kappa,
-            a_bar=a_bar,
-            b_bar=b_bar,
-            delta_zeta=delta_zeta,
-            b=length,
-        ),
+        t,
+        r,
+        _saturating_scale(g_ai, 2.0 * zeta_b - zeta_a),
+        _saturating_scale(g_bi, -zeta_a),
+        T,
+        R,
+        dT_dl,
+        k,
+        k_bar,
+        k0,
+        HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
+        spec,
+        energy,
+        _AiryInterior(g_ai, g_bi, kappa, a_bar, b_bar, delta_zeta, length),
     )
 
 

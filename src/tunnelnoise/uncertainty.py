@@ -274,16 +274,12 @@ def uncertainty_of(sol: ScatteringSolution, N: float = 1.0) -> UncertaintyResult
     (position tightens, momentum spreads); the symmetric flat barrier
     sits at exactly 1/2.
     """
-    delta_l = position_uncertainty(sol, N)
+    n = _check_count(N)
+    delta_l = position_uncertainty(sol, n)
     fluxes = transferred_fluxes(sol)
-    delta_p = momentum_uncertainty(fluxes, sol, N)
+    delta_p = momentum_uncertainty(fluxes, sol, n)
     return UncertaintyResult(
-        delta_l=delta_l,
-        delta_p=delta_p,
-        product_over_hbar=delta_l.meters * delta_p / HBAR,
-        n_electrons=_check_count(N),
-        solution=sol,
-        fluxes=fluxes,
+        delta_l, delta_p, delta_l.meters * delta_p / HBAR, n, sol, fluxes
     )
 
 

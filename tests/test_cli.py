@@ -252,6 +252,28 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
              "--format", "json"],
             "current must be positive and finite, got nan",
         ),
+        (
+            ["solve", "--barrier", "asym", "--phi", "1e300", "--gap", "1e300"],
+            "phase k_bar*l overflows",
+        ),
+        (
+            ["solve", "--barrier", "field", "--V0", "1e10", "--phi", "1e10",
+             "--gap", "1e305"],
+            "phase k_bar*l overflows",
+        ),
+        (
+            ["sweep", "--sweep", "gap", "--gap", "nan", "--steps", "3",
+             "--format", "json"],
+            "config.gap_nm is not finite",
+        ),
+        (
+            ["sweep", "--I0", "nan", "--steps", "3", "--format", "json"],
+            "config.I0_a is not finite",
+        ),
+        (
+            ["sweep", "--I0", "inf", "--steps", "3", "--format", "json"],
+            "config.I0_a is not finite",
+        ),
     ],
     ids=[
         "solve-E-above-V0",
@@ -281,6 +303,11 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "sweep-s_fq-zero-I0",
         "sweep-E-s_fq-inf-I0",
         "sweep-s_fq-nan-I0-json",
+        "solve-asym-phase-overflows",
+        "solve-field-phase-overflows",
+        "sweep-json-unused-nan-gap",
+        "sweep-json-unused-nan-I0",
+        "sweep-json-unused-inf-I0",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
@@ -414,6 +441,52 @@ def test_sweep_skips_rows_with_an_arithmetic_error(capsys):
     _, _, rows, footer = parse_csv(out)
     assert rows == []
     assert footer == ["# skipped_rows: 3"]
+
+
+@pytest.mark.parametrize(
+    "argv, kept",
+    [
+        (["--phi", "1e300", "--min", "1", "--max", "1e300"], []),
+        (["--phi", "1", "--min", "1", "--max", "1e308"], [1.0]),
+    ],
+    ids=["every-row-overflows", "two-phases-overflow"],
+)
+def test_sweep_skips_the_rows_whose_phase_overflows(capsys, argv, kept):
+    # k_bar * l overflows, so cmath.exp of the transmitted phase fails:
+    # that row is skipped and counted instead of ending the sweep.
+    code, out, err = run(
+        capsys, "sweep", "--barrier", "asym", "--sweep", "gap", *argv, "--steps", "3"
+    )
+    assert code == 0 and err == ""
+    _, _, rows, footer = parse_csv(out)
+    assert [row[0] for row in rows] == kept
+    assert footer == [f"# skipped_rows: {3 - len(kept)}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sweep", "gap", "--gap", "nan"],
+        ["--I0", "nan"],
+        ["--I0", "inf"],
+    ],
+    ids=["gap-sweep-nan-gap", "nan-I0", "inf-I0"],
+)
+def test_json_sweep_with_an_unused_non_finite_input_writes_no_file(
+    capsys, tmp_path, argv
+):
+    # The CSV form prints every row; JSON echoes the input, and JSON has
+    # no spelling for inf or NaN.
+    target = tmp_path / "out.json"
+    code, out, err = run(
+        capsys, "sweep", *argv, "--steps", "3", "--format", "json", "--out",
+        str(target),
+    )
+    assert code == 3 and out == "" and "is not finite" in err
+    assert not target.exists()
+    code, out, err = run(capsys, "sweep", *argv, "--steps", "3")
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)[2]) == 3
 
 
 def test_consistency_failure_exits_four(capsys):

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from tunnelnoise.errors import DomainError, UsageError
+from tunnelnoise.errors import ConsistencyError, DomainError, UsageError
+from tunnelnoise.fluxes import transferred_fluxes
 from tunnelnoise.noise import (
     NoiseBudget,
     ResonatorSpec,
@@ -20,6 +21,7 @@ from tunnelnoise.noise import (
     tunnel_resistance,
 )
 from tunnelnoise.scattering import BarrierSpec, solve
+from tunnelnoise.uncertainty import uncertainty_product
 from tunnelnoise.units import (
     ELEMENTARY_CHARGE,
     HBAR,
@@ -65,6 +67,18 @@ def test_quantum_psd_linear_in_current():
     one = quantum_force_psd(1e-6, solve(e, spec))
     two = quantum_force_psd(2e-6, solve(e, spec))
     assert two == pytest.approx(2.0 * one, rel=1e-14)
+
+
+def test_quantum_psd_takes_the_fluxes_the_caller_formed():
+    e = Energy.from_ev(1.0)
+    result = uncertainty_product(e, BarrierSpec.symmetric(5.0, 0.5))
+    sol = result.solution
+    assert quantum_force_psd(1e-6, sol, result.fluxes) == quantum_force_psd(1e-6, sol)
+    # Both routes still run on passed-in fluxes: another gap's fluxes
+    # fail the agreement check instead of giving a value.
+    other = transferred_fluxes(solve(e, BarrierSpec.symmetric(5.0, 0.6)))
+    with pytest.raises(ConsistencyError, match="routes disagree"):
+        quantum_force_psd(1e-6, sol, other)
 
 
 def test_quantum_psd_rejects_bad_inputs():

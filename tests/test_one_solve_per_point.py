@@ -1,5 +1,6 @@
 """Each point is solved once: the gap derivative and the quantum force
-PSD reuse the solved state instead of evaluating it again."""
+PSD reuse the solved state instead of evaluating it again, and the
+quantum force PSD reuses the wall fluxes the uncertainty pair formed."""
 
 import sys
 
@@ -63,4 +64,21 @@ def test_solve_dump_forms_the_wall_fluxes_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, fluxes, ("transferred_fluxes",))
     assert main(["solve", "--barrier", "asym", "--phi", "1"]) == 0
     capsys.readouterr()
+    assert calls == ["transferred_fluxes"]
+
+
+def test_symmetric_sweep_with_s_fq_forms_each_rows_fluxes_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, fluxes, ("transferred_fluxes",))
+    argv = ["sweep", "--barrier", "sym", "--sweep", "gap", "--steps", "5"]
+    assert main([*argv, "--columns", "T,product,s_fq"]) == 0
+    capsys.readouterr()
+    assert calls == ["transferred_fluxes"] * 5
+
+
+def test_symmetric_solve_dump_with_s_fq_forms_the_wall_fluxes_once(
+    monkeypatch, capsys
+):
+    calls = count_calls(monkeypatch, fluxes, ("transferred_fluxes",))
+    assert main(["solve", "--barrier", "sym"]) == 0
+    assert '"s_fq_n2_per_hz"' in capsys.readouterr().out
     assert calls == ["transferred_fluxes"]
