@@ -41,7 +41,7 @@ from .noise import (
 )
 from .scattering import BarrierSpec, Family, _check_energy, solve
 from .uncertainty import DerivativeMethod, dT_dl, uncertainty_of, uncertainty_product
-from .units import Energy, Length
+from .units import ELEMENTARY_CHARGE, Energy, Length
 
 __all__ = [
     "SweepVariable",
@@ -128,6 +128,9 @@ class SweepConfig(_SweepFields):
             raise UsageError(
                 f"unknown columns {unknown!r}; available: {', '.join(_ALL_COLUMNS)}"
             )
+        repeated = sorted({c for c in self.outputs if self.outputs.count(c) > 1})
+        if repeated:
+            raise UsageError(f"repeated columns {repeated!r}; name each column once")
         if "s_fq" in self.outputs and self.family is not Family.SYMMETRIC_RECT:
             raise UsageError(
                 "the s_fq column needs the symmetric barrier (--barrier sym)"
@@ -222,7 +225,8 @@ def run_sweep(config: SweepConfig) -> tuple:
     Each row is a dict of the swept value and the requested columns.
     The inputs are checked once, at the swept variable's minimum, before
     the grid: a V0, E, gap or phi that fails every point alike raises,
-    and so does a bad I0 when the s_fq column is asked for.
+    and so does an I0 that is not a positive current with a finite
+    electron rate I0/e when the s_fq column is asked for.
     Every grid point is that checked point with the swept variable moved.
     Grid points whose evaluation hits a domain or arithmetic error, or
     gives a requested column that is not finite, are omitted and counted
@@ -234,6 +238,8 @@ def run_sweep(config: SweepConfig) -> tuple:
     _check_energy(*base)
     if "s_fq" in config.outputs:
         _check_current(config.i0_a)
+        if not math.isfinite(config.i0_a / ELEMENTARY_CHARGE):
+            raise DomainError(f"electron rate I0/e overflows at I0={config.i0_a!r} A")
     grid = _grid(config)
     outputs = config.outputs
     header = (config.variable.value, *outputs)
@@ -587,9 +593,21 @@ def _selftest() -> int:
 # ------------------------------------------------------------ arg parsing
 
 
+class _Option(NamedTuple):
+    """A subcommand's option: ``type`` converts its flag and its config entry
+    (None keeps the text); the flag takes one of ``choices``, the entry one
+    of ``entries`` or else ``choices``; ``default`` holds when neither is set."""
+
+    type: "type | None" = None
+    default: object = None
+    help: "str | None" = None
+    choices: "tuple | None" = None
+    entries: "tuple | None" = None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first call, then shared: ``parse_args`` does not change it."""
+    """Built from ``_COMMANDS`` once, then shared: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="tunnelnoise",
         description=(
@@ -599,46 +617,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value file; flags override entries")
-        p.add_argument("--barrier", choices=sorted(_FAMILIES))
-        p.add_argument("--V0", type=float, help="barrier height, eV")
-        p.add_argument("--E", type=float, help="electron energy, eV")
-        p.add_argument("--phi", type=float, help="bias drop across the gap, eV")
-        p.add_argument("--gap", type=float, help="electrode separation, nm")
-
-    sweep = sub.add_parser("sweep", help="grid sweep to CSV or JSON")
-    add_common(sweep)
-    sweep.add_argument("--sweep", choices=[v.value for v in SweepVariable])
-    sweep.add_argument("--min", type=float)
-    sweep.add_argument("--max", type=float)
-    sweep.add_argument("--steps", type=int)
-    sweep.add_argument("--N", type=float, help="electron count per batch")
-    sweep.add_argument("--I0", type=float, help="tunnel current for s_fq, A")
-    sweep.add_argument(
-        "--columns", help="comma-separated subset of " + ",".join(_ALL_COLUMNS)
-    )
-    sweep.add_argument("--out", help="output path (default stdout)")
-    sweep.add_argument("--format", choices=[f.value for f in OutputFormat])
-
-    feas = sub.add_parser("feasibility", help="noise budget with verdict")
-    add_common(feas)
-    feas.add_argument("--I0", type=float, help="tunnel current, A")
-    feas.add_argument("--mass", type=float, help="resonator mass, kg")
-    feas.add_argument("--temp", type=float, help="bath temperature, K")
-    feas.add_argument("--f0", type=float, help="resonance frequency, Hz")
-    feas.add_argument("--Q", type=float, help="quality factor")
-    feas.add_argument("--out", help="output path (default stdout)")
-    feas.add_argument("--format", choices=[OutputFormat.JSON.value])
-
-    solve_p = sub.add_parser("solve", help="single-point JSON dump")
-    add_common(solve_p)
-    solve_p.add_argument("--N", type=float, help="electron count per batch")
-    solve_p.add_argument("--I0", type=float, help="tunnel current for s_fq, A")
-    solve_p.add_argument("--out", help="output path (default stdout)")
-
-    sub.add_parser("selftest", help="run deterministic invariant checks")
+    for name, (run, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(_run=run, _options=options)
+        if options:
+            p.add_argument("--config", help="key=value file; flags override entries")
+        for key, option in options.items():
+            p.add_argument(
+                f"--{key}", type=option.type, choices=option.choices, help=option.help
+            )
     return parser
 
 
@@ -659,161 +646,158 @@ def _read_config_file(path: str) -> dict:
             )
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
+    unknown = sorted(set(entries) - set(_CONFIG_KEYS))
+    if unknown:
+        raise UsageError(
+            f"unknown config keys {unknown!r}; known keys: {_CONFIG_KEYS}"
+        )
     return entries
 
 
-_CONFIG_CONVERTERS = {
-    "barrier": str,
-    "V0": float,
-    "E": float,
-    "phi": float,
-    "gap": float,
-    "sweep": SweepVariable,
-    "min": float,
-    "max": float,
-    "steps": int,
-    "N": float,
-    "I0": float,
-    "mass": float,
-    "temp": float,
-    "f0": float,
-    "Q": float,
-    "columns": str,
-    "out": str,
-    "format": OutputFormat,
-}
+def _merged(args: argparse.Namespace, name: str):
+    """Flag value if given, else config-file entry, else the table's default."""
+    value = getattr(args, name)
+    option = args._options[name]
+    raw = args._config_entries.get(name)
+    if value is not None or raw is None:
+        return option.default if value is None else value
+    accepted = option.entries or option.choices
+    try:
+        value = (option.type or str)(raw)
+        if accepted is None or value in accepted:
+            return value
+    except ValueError:
+        pass
+    kind = option.type.__name__ if option.type else f"choice of {list(accepted)}"
+    raise UsageError(f"config entry {name}={raw!r} is not a valid {kind}")
 
 
-def _merged(args: argparse.Namespace, name: str, fallback):
-    """Flag value if given, else config-file entry, else fallback."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    entries = getattr(args, "_config_entries", {})
-    if name in entries:
-        converter = _CONFIG_CONVERTERS[name]
-        try:
-            return converter(entries[name])
-        except ValueError:
-            raise UsageError(
-                f"config entry {name}={entries[name]!r} is not a valid "
-                f"{converter.__name__}"
-            ) from None
-    return fallback
-
-
-def _load_config_entries(args: argparse.Namespace) -> None:
-    entries = {}
-    if getattr(args, "config", None):
-        entries = _read_config_file(args.config)
-        unknown = set(entries) - set(_CONFIG_CONVERTERS)
-        if unknown:
-            raise UsageError(
-                f"unknown config keys {sorted(unknown)!r}; known keys: "
-                f"{sorted(_CONFIG_CONVERTERS)}"
-            )
-    args._config_entries = entries
-
-
-def _family_from(args: argparse.Namespace, default_family: str) -> Family:
-    family_name = _merged(args, "barrier", default_family)
-    if family_name not in _FAMILIES:
-        raise UsageError(
-            f"unknown barrier family {family_name!r}; choose from "
-            f"{sorted(_FAMILIES)}"
-        )
-    return _FAMILIES[family_name]
-
-
-def _barrier_from(args: argparse.Namespace, default_family: str) -> BarrierSpec:
+def _barrier_from(args: argparse.Namespace) -> BarrierSpec:
     return _barrier_spec(
-        _family_from(args, default_family),
-        _merged(args, "V0", 5.0),
-        _merged(args, "phi", 0.0),
-        _merged(args, "gap", 0.5),
+        _FAMILIES[_merged(args, "barrier")],
+        _merged(args, "V0"),
+        _merged(args, "phi"),
+        _merged(args, "gap"),
     )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    family = _family_from(args, "field")
-    variable = SweepVariable(_merged(args, "sweep", "phi"))
-    default_columns = "T,R,delta_l,delta_p,product"
-    columns_raw = _merged(args, "columns", default_columns)
+    family = _FAMILIES[_merged(args, "barrier")]
+    variable = SweepVariable(_merged(args, "sweep"))
     outputs = tuple(
-        name.strip() for name in columns_raw.split(",") if name.strip()
+        name.strip() for name in _merged(args, "columns").split(",") if name.strip()
     )
     if not outputs:
         raise UsageError("columns must name at least one output")
-    defaults_min, defaults_max = {
-        SweepVariable.BIAS_PHI: (0.0, 5.0),
-        SweepVariable.GAP: (0.1, 2.0),
-        SweepVariable.ENERGY: (0.2, 4.5),
-    }[variable]
-    fmt = OutputFormat(_merged(args, "format", "csv"))
+    fmt = OutputFormat(_merged(args, "format"))
+    low, high = _SWEEP_RANGES[variable.value]
+    minimum, maximum = _merged(args, "min"), _merged(args, "max")
     config = SweepConfig(
         family=family,
-        v0_ev=_merged(args, "V0", 5.0),
-        e_ev=_merged(args, "E", 1.0),
-        phi_ev=_merged(args, "phi", 0.0),
-        gap_nm=_merged(args, "gap", 0.5),
+        v0_ev=_merged(args, "V0"),
+        e_ev=_merged(args, "E"),
+        phi_ev=_merged(args, "phi"),
+        gap_nm=_merged(args, "gap"),
         variable=variable,
-        minimum=_merged(args, "min", defaults_min),
-        maximum=_merged(args, "max", defaults_max),
-        steps=_merged(args, "steps", 200),
+        minimum=low if minimum is None else minimum,
+        maximum=high if maximum is None else maximum,
+        steps=_merged(args, "steps"),
         outputs=outputs,
-        n_electrons=_merged(args, "N", 1.0),
-        i0_a=_merged(args, "I0", 1e-6),
+        n_electrons=_merged(args, "N"),
+        i0_a=_merged(args, "I0"),
     )
     rows, summary = run_sweep(config)
-    if fmt is OutputFormat.CSV:
-        text = _format_csv(config, rows, summary)
-    else:
-        text = _format_json(config, rows, summary)
-    _emit(text, _merged(args, "out", None))
+    write = _format_csv if fmt is OutputFormat.CSV else _format_json
+    _emit(write(config, rows, summary), _merged(args, "out"))
     return 0
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     resonator = ResonatorSpec(
-        mass=_merged(args, "mass", 1e-10),
-        f0=_merged(args, "f0", 1e5),
-        quality=_merged(args, "Q", 1e7),
-        temperature=_merged(args, "temp", 0.01),
+        mass=_merged(args, "mass"),
+        f0=_merged(args, "f0"),
+        quality=_merged(args, "Q"),
+        temperature=_merged(args, "temp"),
     )
-    barrier = _barrier_from(args, "sym")
-    energy = Energy.from_ev(_merged(args, "E", 1.0))
-    # A blank format entry selects the text report, as a missing one does.
-    blank = args.format is None and args._config_entries.get("format") == ""
-    fmt_raw = None if blank else _merged(args, "format", None)
-    fmt = OutputFormat(fmt_raw) if fmt_raw else None
-    text = feasibility_report(
-        _merged(args, "I0", 1e-6), resonator, barrier, energy, fmt
-    )
-    _emit(text, _merged(args, "out", None))
+    barrier = _barrier_from(args)
+    energy = Energy.from_ev(_merged(args, "E"))
+    fmt = _merged(args, "format")
+    fmt = OutputFormat(fmt) if fmt else None
+    text = feasibility_report(_merged(args, "I0"), resonator, barrier, energy, fmt)
+    _emit(text, _merged(args, "out"))
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    barrier = _barrier_from(args, "sym")
-    energy = Energy.from_ev(_merged(args, "E", 1.0))
-    text = _solve_dump(
-        barrier, energy, _check_n(_merged(args, "N", 1.0)), _merged(args, "I0", 1e-6)
-    )
-    _emit(text, _merged(args, "out", None))
+    barrier = _barrier_from(args)
+    energy = Energy.from_ev(_merged(args, "E"))
+    n_electrons = _check_n(_merged(args, "N"))
+    text = _solve_dump(barrier, energy, n_electrons, _merged(args, "I0"))
+    _emit(text, _merged(args, "out"))
     return 0
+
+
+_SWEEP_RANGES = {"phi": (0.0, 5.0), "gap": (0.1, 2.0), "E": (0.2, 4.5)}
+_BARRIER = tuple(sorted(_FAMILIES))
+_FORMATS = tuple(f.value for f in OutputFormat)
+_GEOMETRY = {
+    "V0": _Option(float, 5.0, "barrier height, eV"),
+    "E": _Option(float, 1.0, "electron energy, eV"),
+    "phi": _Option(float, 0.0, "bias drop across the gap, eV"),
+    "gap": _Option(float, 0.5, "electrode separation, nm"),
+}
+_N = _Option(float, 1.0, "electron count per batch")
+_I0_S_FQ = _Option(float, 1e-6, "tunnel current for s_fq, A")
+_OUT = _Option(help="output path (default stdout)")
+# Every subcommand, its options in --help order and each option's one
+# declaration; a sweep's min and max default by swept variable instead.
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "grid sweep to CSV or JSON", {
+        "barrier": _Option(default="field", choices=_BARRIER),
+        **_GEOMETRY,
+        "sweep": _Option(default="phi", choices=tuple(_SWEEP_RANGES)),
+        "min": _Option(float),
+        "max": _Option(float),
+        "steps": _Option(int, 200),
+        "N": _N,
+        "I0": _I0_S_FQ,
+        "columns": _Option(
+            default="T,R,delta_l,delta_p,product",
+            help="comma-separated subset of " + ",".join(_ALL_COLUMNS),
+        ),
+        "out": _OUT,
+        "format": _Option(default="csv", choices=_FORMATS),
+    }),
+    "feasibility": (_cmd_feasibility, "noise budget with verdict", {
+        "barrier": _Option(default="sym", choices=_BARRIER),
+        **_GEOMETRY,
+        "I0": _Option(float, 1e-6, "tunnel current, A"),
+        "mass": _Option(float, 1e-10, "resonator mass, kg"),
+        "temp": _Option(float, 0.01, "bath temperature, K"),
+        "f0": _Option(float, 1e5, "resonance frequency, Hz"),
+        "Q": _Option(float, 1e7, "quality factor"),
+        "out": _OUT,
+        # An entry of csv, or a blank one, gives the text report.
+        "format": _Option(choices=("json",), entries=("", *_FORMATS)),
+    }),
+    "solve": (_cmd_solve, "single-point JSON dump", {
+        "barrier": _Option(default="sym", choices=_BARRIER),
+        **_GEOMETRY,
+        "N": _N,
+        "I0": _I0_S_FQ,
+        "out": _OUT,
+    }),
+    "selftest": (lambda args: _selftest(), "run deterministic invariant checks", {}),
+}
+_CONFIG_KEYS = sorted({key for _, _, options in _COMMANDS.values() for key in options})
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _load_config_entries(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "feasibility":
-            return _cmd_feasibility(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _selftest()
+        path = getattr(args, "config", None)
+        args._config_entries = _read_config_file(path) if path else {}
+        return args._run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import TransferredFluxes, transferred_fluxes
 from .scattering import BarrierSpec, Family, ScatteringSolution, solve
 from .uncertainty import momentum_uncertainty
-from .units import BOLTZMANN, ELEMENTARY_CHARGE, HBAR, Energy, Length
+from .units import BOLTZMANN, ELEMENTARY_CHARGE, HBAR, Energy
 
 __all__ = [
     "ResonatorSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "langevin_force_psd",
     "feasibility_lhs",
     "shot_noise_current_psd",
-    "tunnel_resistance",
     "noise_budget",
 ]
 
@@ -240,24 +239,6 @@ def shot_noise_current_psd(I0: float) -> float:
     """Shot-noise current spectral density ``sqrt(2 e I0)``, A/sqrt(Hz),
     single-sided."""
     return math.sqrt(2.0 * ELEMENTARY_CHARGE * _check_current(I0))
-
-
-def tunnel_resistance(R0: float, k0: float, x: "float | Length") -> float:
-    """Junction resistance ``R0 exp(-2 k0 x)`` at electrode separation x.
-
-    The exponential law holds in the opaque regime (``k0 x >> 1``); R0
-    is the prefactor resistance at zero separation and ``k0`` the decay
-    constant in 1/m.
-    """
-    if not (isinstance(R0, (int, float)) and math.isfinite(R0) and R0 > 0.0):
-        raise DomainError(f"zero-separation resistance must be positive, got {R0!r}")
-    decay = float(k0)
-    if not math.isfinite(decay) or decay <= 0.0:
-        raise DomainError(f"decay constant must be positive, got {k0!r}")
-    position = x.meters if isinstance(x, Length) else float(x)
-    if not math.isfinite(position):
-        raise DomainError(f"separation must be finite, got {x!r}")
-    return R0 * math.exp(-2.0 * decay * position)
 
 
 def noise_budget(

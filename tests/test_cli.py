@@ -206,6 +206,10 @@ S_FQ = ["--columns", "T,s_fq"]
         (["solve", "--N", "0.5"], "N"),
         (["solve", "--N", "inf"], "N"),
         (["solve", "--N", "nan"], "N"),
+        (
+            ["sweep", "--columns", "T,T,product", "--steps", "2"],
+            "repeated columns ['T']",
+        ),
     ],
 )
 def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
@@ -274,6 +278,11 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
             ["sweep", "--I0", "inf", "--steps", "3", "--format", "json"],
             "config.I0_a is not finite",
         ),
+        (
+            ["sweep", "--barrier", "sym", "--sweep", "gap", "--columns", "s_fq",
+             "--I0", "1e300", "--steps", "3"],
+            "electron rate I0/e overflows at I0=1e+300",
+        ),
     ],
     ids=[
         "solve-E-above-V0",
@@ -308,12 +317,24 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "sweep-json-unused-nan-gap",
         "sweep-json-unused-nan-I0",
         "sweep-json-unused-inf-I0",
+        "sweep-s_fq-I0-rate-overflows",
     ],
 )
 def test_domain_errors_exit_three(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 3 and fragment in err
     assert out == ""
+
+
+def test_s_fq_sweep_keeps_its_rows_while_the_electron_rate_is_finite(capsys):
+    # 1e289 A / e is about 6e307 electrons per second, inside the float range.
+    code, out, err = run(
+        capsys, "sweep", "--barrier", "sym", "--sweep", "gap", "--columns", "s_fq",
+        "--I0", "1e289", "--steps", "3",
+    )
+    assert code == 0 and err == ""
+    _, _, rows, footer = parse_csv(out)
+    assert len(rows) == 3 and "# skipped_rows: 0" in footer
 
 
 def test_opaque_symmetric_solve_is_a_value(capsys):

@@ -1,5 +1,5 @@
 """Tests for the noise-budget module: quantum and thermal force PSDs,
-shot noise, tunnel resistance, and the feasibility normalization."""
+shot noise, and the feasibility normalization."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from tunnelnoise.noise import (
     noise_budget,
     quantum_force_psd,
     shot_noise_current_psd,
-    tunnel_resistance,
 )
 from tunnelnoise.scattering import BarrierSpec, solve
 from tunnelnoise.uncertainty import uncertainty_product
@@ -26,7 +25,6 @@ from tunnelnoise.units import (
     ELEMENTARY_CHARGE,
     HBAR,
     Energy,
-    Length,
     wavenumber_evanescent,
 )
 
@@ -166,27 +164,6 @@ def test_shot_noise_scaling_and_validation():
     )
     with pytest.raises(DomainError):
         shot_noise_current_psd(0.0)
-
-
-# ----------------------------------------------------- tunnel_resistance
-
-
-def test_tunnel_resistance_values():
-    assert tunnel_resistance(1.0e4, 1e10, 0.0) == 1.0e4
-    half = math.log(2.0) / (2.0 * 1e10)
-    assert tunnel_resistance(1.0e4, 1e10, half) == pytest.approx(5.0e3, rel=1e-12)
-    got = tunnel_resistance(1.0e4, 1e10, Length.from_nm(0.1))
-    assert got == pytest.approx(1.0e4 * math.exp(-2.0), rel=1e-12)
-    assert got == pytest.approx(0.135 * 1.0e4, rel=0.01)
-
-
-def test_tunnel_resistance_validation():
-    with pytest.raises(DomainError):
-        tunnel_resistance(0.0, 1e10, 1e-10)
-    with pytest.raises(DomainError):
-        tunnel_resistance(1.0, -1e10, 1e-10)
-    with pytest.raises(DomainError):
-        tunnel_resistance(1.0, 1e10, math.nan)
 
 
 # ----------------------------------------------------------- noise_budget

@@ -25,7 +25,6 @@ COLUMN_SETS = [
     ("T", "R", "delta_l", "delta_p", "product"),
     _ALL_COLUMNS,
     ("product", "T"),
-    ("T", "T", "delta_p"),
 ]
 
 SUMMARIES = {
