@@ -449,16 +449,15 @@ def _solve_dump(
 ) -> str:
     sol = solve(energy, barrier)
     residuals = jump_residuals(sol)
+    transferred = transferred_fluxes(sol)
     try:
-        result = uncertainty_of(sol, n_electrons)
-        transferred = result.fluxes
+        result = uncertainty_of(sol, n_electrons, transferred)
         uncertainty = {
             "delta_l_nm": result.delta_l.nm,
             "delta_p_kg_m_s": result.delta_p,
             "product_over_hbar": result.product_over_hbar,
         }
     except DomainError as exc:
-        transferred = transferred_fluxes(sol)
         uncertainty = {"unavailable": str(exc)}
     payload = {
         "barrier": {

@@ -76,16 +76,16 @@ class TransferredFluxes(NamedTuple):
     """Momentum and momentum-squared fluxes absorbed by the wall at x = l.
 
     ``v2_description`` records which part of the barrier force was
-    attributed to the wall when forming the fluxes.  ``scaled_j_p2_t``,
-    if given, is ``j_p2_t`` times ``2^(2 exponent)``, exactly; it stays a
-    normal float where ``j_p2_t`` of an opaque barrier underflows.
+    attributed to the wall when forming the fluxes.  ``scaled_j_p2_t`` is
+    ``j_p2_t`` times ``2^(2 exponent)``, exactly; it stays a normal float
+    where ``j_p2_t`` of an opaque barrier underflows.
     """
 
     j_p_t: float
     j_p2_t: float
     v2_description: str
-    exponent: int = 0
-    scaled_j_p2_t: "float | None" = None
+    exponent: int
+    scaled_j_p2_t: float
 
 
 class JumpResiduals(NamedTuple):
@@ -248,14 +248,17 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     j_p_in_b = j_p_b + step_b * rho_b
     j_p2_in_a = j_p2_a - 2.0 * ELECTRON_MASS * j_const * step_a
     j_p2_in_b = j_p2_b + 2.0 * ELECTRON_MASS * j_const * step_b
+    j_p2_t = 0.5 * (j_p2_in_a + j_p2_in_b)
     return TransferredFluxes(
         0.5 * (j_p_in_a + j_p_in_b),
-        0.5 * (j_p2_in_a + j_p2_in_b),
+        j_p2_t,
         (
             "half the interior slope force assigned to each electrode "
             "plus the full right-edge step to the wall; fluxes are "
             "half-sums of the interior currents at the two edges"
         ),
+        0,
+        j_p2_t,
     )
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import ConsistencyError, DomainError, UsageError
 from .fluxes import TransferredFluxes, transferred_fluxes
 from .scattering import BarrierSpec, Family, ScatteringSolution, solve
-from .uncertainty import momentum_uncertainty
+from .uncertainty import kick_variance
 from .units import BOLTZMANN, ELEMENTARY_CHARGE, HBAR, Energy
 
 __all__ = [
@@ -163,8 +163,10 @@ def quantum_force_psd(
         ``(I0/e) hbar^2 k^2 (1/2) [ (1+(k0/k)^2)^2 - (1-(k0/k)^2)^2 (1-T) ]``
 
     and twice the per-conducted-electron momentum-kick variance times
-    the electron rate ``I0/e`` (one conducted electron corresponds to
-    ``1/T`` attempts).  They must agree to 1e-10 relative, and both
+    the electron rate ``I0/e``: one conducted electron corresponds to
+    ``1/T`` attempts, so that variance is the per-attempt one of
+    :func:`~tunnelnoise.uncertainty.kick_variance` over ``T``, both
+    scaled alike.  They must agree to 1e-10 relative, and both
     must be finite: an input so large that either overflows raises the
     domain error.  Both routes still run when the caller passes the
     fluxes, so the agreement check also catches fluxes that do not
@@ -172,12 +174,6 @@ def quantum_force_psd(
     """
     current = _check_current(I0)
     _check_symmetric(sol.barrier)
-    if sol.T == 0.0:
-        raise DomainError(
-            "transmission underflows to 0 at this gap "
-            f"({sol.barrier.gap.nm!r} nm); the kick-variance route needs 1/T "
-            "attempts per conducted electron"
-        )
     k = sol.k
     k0 = sol.k0
     rate = current / ELEMENTARY_CHARGE
@@ -191,8 +187,8 @@ def quantum_force_psd(
     )
     if fluxes is None:
         fluxes = transferred_fluxes(sol)
-    kick = momentum_uncertainty(fluxes, sol, N=1.0 / sol.T)
-    from_kicks = 2.0 * kick**2 * rate
+    v, e = kick_variance(fluxes, sol)
+    from_kicks = 2.0 * v / math.ldexp(sol.T, 2 * e) * rate
     _check_finite((("s_fq", closed), ("s_fq by the kick-variance route", from_kicks)))
     if abs(closed - from_kicks) > _ROUTE_AGREEMENT * max(abs(closed), abs(from_kicks)):
         raise ConsistencyError(

@@ -35,6 +35,7 @@ __all__ = [
     "UncertaintyResult",
     "position_uncertainty",
     "dT_dl",
+    "kick_variance",
     "momentum_uncertainty",
     "uncertainty_of",
     "uncertainty_product",
@@ -214,17 +215,17 @@ def position_uncertainty(sol: ScatteringSolution, N: float = 1.0) -> Length:
     return Length(math.sqrt(sol.T * sol.R / n) / abs(dT_dl))
 
 
-def momentum_uncertainty(
-    transferred: TransferredFluxes, sol: ScatteringSolution, N: float = 1.0
-) -> float:
-    """Momentum kick spread after N electrons, from the wall fluxes.
+def kick_variance(
+    transferred: TransferredFluxes, sol: ScatteringSolution
+) -> "tuple[float, int]":
+    """Per-attempt momentum-kick variance ``v 4^-e`` of the wall fluxes, as ``(v, e)``.
 
-    ``(delta_p)^2 = N [ -j_p2_t/j_in + (j_p_t/j_in)^2 ]``.  The bracket
-    is a variance; excursions below zero smaller than 1e-12 of the
-    natural ``hbar^2 (k^2 + k0^2) T`` scale are rounding and clamp to
-    zero, anything larger is an inconsistent flux set and raises.  The
-    bracket is formed times ``2^(2 transferred.exponent)``, which is exact,
-    and keeps its digits on opaque rectangular barriers.  A ``T`` or a
+    ``v`` is the bracket ``-j_p2_t/j_in + (j_p_t/j_in)^2`` formed times
+    ``2^(2e)`` with ``e = transferred.exponent``, which is exact, and
+    keeps its digits on opaque rectangular barriers.  The bracket is a
+    variance; excursions below zero smaller than 1e-12 of the natural
+    ``hbar^2 (k^2 + k0^2) T`` scale are rounding and clamp to zero,
+    anything larger is an inconsistent flux set and raises.  A ``T`` or a
     second moment below the smallest normal float raises the range error.
     """
     if sol.T < sys.float_info.min:
@@ -234,15 +235,13 @@ def momentum_uncertainty(
         )
     j_in = sol.incident_flux
     e = transferred.exponent
-    scaled = transferred.scaled_j_p2_t
-    second_moment = -(transferred.j_p2_t if scaled is None else scaled) / j_in
+    second_moment = -transferred.scaled_j_p2_t / j_in
     if abs(second_moment) < sys.float_info.min:
         raise RangeError(
             "kick second moment underflows "
             f"({math.ldexp(second_moment, -2 * e)!r} (kg m/s)^2 at T = {sol.T!r}); "
             "the barrier is too opaque for the kick variance"
         )
-    n = _check_count(N)
     # j_p_t / j_in is subnormal only for T below about 1e-270, where its
     # square is about T times the second moment: lost digits do not count.
     mean_kick = math.ldexp(transferred.j_p_t / j_in, e)
@@ -263,12 +262,24 @@ def momentum_uncertainty(
                 "first-moment bookkeeping stops describing a variance); "
                 "otherwise it indicates inconsistent fluxes."
             )
-    return math.ldexp(math.sqrt(n * bracket), -e)
+    return bracket, e
 
 
-def uncertainty_of(sol: ScatteringSolution, N: float = 1.0) -> UncertaintyResult:
+def momentum_uncertainty(
+    transferred: TransferredFluxes, sol: ScatteringSolution, N: float = 1.0
+) -> float:
+    """Momentum kick spread after N electrons, from the wall fluxes:
+    ``sqrt(N v) 2^-e`` with ``(v, e)`` from :func:`kick_variance`."""
+    v, e = kick_variance(transferred, sol)
+    return math.ldexp(math.sqrt(_check_count(N) * v), -e)
+
+
+def uncertainty_of(
+    sol: ScatteringSolution, N: float = 1.0, fluxes: "TransferredFluxes | None" = None
+) -> UncertaintyResult:
     """Uncertainty pair of a solved state: ``delta_l`` from its ``dT_dl``,
-    ``delta_p`` from the wall fluxes formed here.
+    ``delta_p`` from its wall fluxes, formed here unless the caller passes
+    them.
 
     The product ``delta_l * delta_p / hbar`` is invariant under N
     (position tightens, momentum spreads); the symmetric flat barrier
@@ -276,7 +287,8 @@ def uncertainty_of(sol: ScatteringSolution, N: float = 1.0) -> UncertaintyResult
     """
     n = _check_count(N)
     delta_l = position_uncertainty(sol, n)
-    fluxes = transferred_fluxes(sol)
+    if fluxes is None:
+        fluxes = transferred_fluxes(sol)
     delta_p = momentum_uncertainty(fluxes, sol, n)
     return UncertaintyResult(
         delta_l, delta_p, delta_l.meters * delta_p / HBAR, n, sol, fluxes

@@ -4,7 +4,9 @@ quantum force PSD reuses the wall fluxes the uncertainty pair formed."""
 
 import sys
 
-from tunnelnoise import airy, fluxes, scattering
+import pytest
+
+from tunnelnoise import airy, fluxes, scattering, uncertainty
 from tunnelnoise.cli import main
 from tunnelnoise.scattering import BarrierSpec
 from tunnelnoise.uncertainty import uncertainty_product
@@ -82,3 +84,32 @@ def test_symmetric_solve_dump_with_s_fq_forms_the_wall_fluxes_once(
     assert main(["solve", "--barrier", "sym"]) == 0
     assert '"s_fq_n2_per_hz"' in capsys.readouterr().out
     assert calls == ["transferred_fluxes"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # T underflows to 0 on the tilted solver: no uncertainty pair.
+        ["--barrier", "field", "--phi", "1", "--gap", "40"],
+    ],
+    ids=["field-T-underflows"],
+)
+def test_dump_without_an_uncertainty_pair_forms_the_wall_fluxes_once(
+    monkeypatch, capsys, argv
+):
+    calls = count_calls(monkeypatch, fluxes, ("transferred_fluxes",))
+    assert main(["solve", *argv]) == 0
+    assert '"unavailable"' in capsys.readouterr().out
+    assert calls == ["transferred_fluxes"]
+
+
+def test_s_fq_reads_the_per_attempt_kick_variance(monkeypatch, capsys):
+    # The PSD's kick route divides the per-attempt variance by T; it does
+    # not take the spread of 1/T electrons through momentum_uncertainty.
+    calls = count_calls(
+        monkeypatch, uncertainty, ("kick_variance", "momentum_uncertainty")
+    )
+    argv = ["sweep", "--barrier", "sym", "--sweep", "gap", "--steps", "3"]
+    assert main([*argv, "--columns", "s_fq"]) == 0
+    capsys.readouterr()
+    assert calls == ["kick_variance"] * 3

@@ -119,7 +119,7 @@ def test_flat_transferred_fluxes_fields():
 def test_tilted_transferred_fluxes_fields():
     fluxes = transferred_fluxes(TILTED)
     assert fluxes.v2_description.startswith("half the interior slope force")
-    assert fluxes.exponent == 0 and fluxes.scaled_j_p2_t is None
+    assert fluxes.exponent == 0 and fluxes.scaled_j_p2_t == fluxes.j_p2_t
     # Half-sums of the interior currents at the two edges.
     left = currents_at(TILTED, 0.0, Side.RIGHT_LIMIT)
     right = currents_at(TILTED, TILTED.barrier.gap.meters, Side.LEFT_LIMIT)

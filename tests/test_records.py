@@ -90,10 +90,14 @@ def test_properties_read_through_the_fields():
     assert swapped.wronskian == quad.bi * quad.bi_prime - quad.ai_prime * quad.ai
 
 
-def test_defaults_are_kept():
-    fluxes = TransferredFluxes(j_p_t=1.0, j_p2_t=-2.0, v2_description="d")
-    assert fluxes.exponent == 0 and fluxes.scaled_j_p2_t is None
-    assert RESULT.fluxes.scaled_j_p2_t is None
+def test_transferred_fluxes_has_no_defaults():
+    # Both branches of transferred_fluxes set every field, the tilted one
+    # with exponent 0 and its own j_p2_t as the scaled value.
+    assert TransferredFluxes._field_defaults == {}
+    with pytest.raises(TypeError):
+        TransferredFluxes(j_p_t=1.0, j_p2_t=-2.0, v2_description="d")
+    assert RESULT.fluxes.exponent == 0
+    assert RESULT.fluxes.scaled_j_p2_t == RESULT.fluxes.j_p2_t
     assert RESULT.solution is TILTED
 
 

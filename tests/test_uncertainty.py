@@ -18,6 +18,7 @@ from tunnelnoise.uncertainty import (
     DerivativeMethod,
     UncertaintyResult,
     dT_dl,
+    kick_variance,
     momentum_uncertainty,
     position_uncertainty,
     uncertainty_product,
@@ -206,13 +207,31 @@ def test_bracket_guard_clamps_and_raises():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
     j_in = sol.incident_flux
     tiny = HBAR**2 * (sol.k**2 + sol.k0**2) * sol.T
-    clamped = TransferredFluxes(
-        j_p_t=0.0, j_p2_t=0.5e-12 * tiny * j_in, v2_description=""
-    )
+    clamped_j_p2_t = 0.5e-12 * tiny * j_in
+    clamped = TransferredFluxes(0.0, clamped_j_p2_t, "", 0, clamped_j_p2_t)
     assert momentum_uncertainty(clamped, sol, 1.0) == 0.0
-    bad = TransferredFluxes(j_p_t=0.0, j_p2_t=1e-6 * tiny * j_in, v2_description="")
+    bad = TransferredFluxes(0.0, 1e-6 * tiny * j_in, "", 0, 1e-6 * tiny * j_in)
     with pytest.raises(ConsistencyError):
         momentum_uncertainty(bad, sol, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BarrierSpec.symmetric(5.0, 0.5),
+        BarrierSpec.symmetric(5.0, 30.0),
+        BarrierSpec.asymmetric(5.0, 1.5, 0.4),
+        BarrierSpec.linear_field(5.0, 2.0, 0.5),
+    ],
+    ids=["sym", "sym-opaque", "asym", "tilted"],
+)
+@pytest.mark.parametrize("n", [1.0, 7.0, 1.7e6])
+def test_momentum_uncertainty_is_the_root_of_the_kick_variance(spec, n):
+    sol = solve(Energy.from_ev(1.0), spec)
+    fluxes = transferred_fluxes(sol)
+    v, e = kick_variance(fluxes, sol)
+    assert v > 0.0 and e == fluxes.exponent
+    assert momentum_uncertainty(fluxes, sol, n) == math.ldexp(math.sqrt(n * v), -e)
 
 
 def test_count_validation():
