@@ -458,6 +458,8 @@ def _solve_dump(
             "product_over_hbar": result.product_over_hbar,
         }
     except DomainError as exc:
+        if barrier.family is Family.SYMMETRIC_RECT:
+            raise  # a symmetric dump always carries its product
         uncertainty = {"unavailable": str(exc)}
     payload = {
         "barrier": {

@@ -212,9 +212,8 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     k0 = sol.k0
 
     if not sol.tilted_interior:
-        # j_p2_t is proportional to T; formed again with T times 2^(2e),
-        # which is of order 1, it stays normal for every normal T.
-        exponent = -(math.frexp(sol.T)[1] // 2)
+        # j_p2_t is proportional to T; formed again with the solver's
+        # T_scaled, which is of order 1, it stays normal at any opacity.
         j_p2_per_t = -(HBAR**3) / ELECTRON_MASS * k0**2 * k
         j_p_t = (
             HBAR**2
@@ -231,8 +230,8 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
                 "full right-edge step assigned to the wall; fluxes equal "
                 "the interior currents at the right edge"
             ),
-            exponent,
-            j_p2_per_t * math.ldexp(sol.T, 2 * exponent) / _TWO_PI,
+            sol.scale,
+            j_p2_per_t * sol.T_scaled / _TWO_PI,
         )
 
     # Exterior values written through T rather than |r|^2: the model

@@ -162,15 +162,13 @@ def quantum_force_psd(
 
         ``(I0/e) hbar^2 k^2 (1/2) [ (1+(k0/k)^2)^2 - (1-(k0/k)^2)^2 (1-T) ]``
 
-    and twice the per-conducted-electron momentum-kick variance times
-    the electron rate ``I0/e``: one conducted electron corresponds to
-    ``1/T`` attempts, so that variance is the per-attempt one of
-    :func:`~tunnelnoise.uncertainty.kick_variance` over ``T``, both
-    scaled alike.  They must agree to 1e-10 relative, and both
-    must be finite: an input so large that either overflows raises the
-    domain error.  Both routes still run when the caller passes the
-    fluxes, so the agreement check also catches fluxes that do not
-    belong to ``sol``.
+    and twice the per-conducted-electron kick variance times the electron
+    rate ``I0/e``: one conducted electron takes ``1/T`` attempts, so that
+    variance is the per-attempt ``kick_variance`` over the equally scaled
+    ``T``.  They must agree to 1e-10 relative, and both must be finite:
+    an input so large that either overflows raises the domain error.
+    Both routes still run when the caller passes the fluxes, so the
+    agreement check also catches fluxes that do not belong to ``sol``.
     """
     current = _check_current(I0)
     _check_symmetric(sol.barrier)
@@ -187,8 +185,8 @@ def quantum_force_psd(
     )
     if fluxes is None:
         fluxes = transferred_fluxes(sol)
-    v, e = kick_variance(fluxes, sol)
-    from_kicks = 2.0 * v / math.ldexp(sol.T, 2 * e) * rate
+    v, _ = kick_variance(fluxes, sol)
+    from_kicks = 2.0 * v / sol.T_scaled * rate
     _check_finite((("s_fq", closed), ("s_fq by the kick-variance route", from_kicks)))
     if abs(closed - from_kicks) > _ROUTE_AGREEMENT * max(abs(closed), abs(from_kicks)):
         raise ConsistencyError(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 from .airy import airy_all, airy_scaled
@@ -66,6 +67,7 @@ PHI_DISPATCH_EV = 1e-9
 # exp() overflows just above this; used when materializing the textbook
 # interior coefficients, which are allowed to saturate to inf/0.
 _MAX_EXPONENT = 709.0
+_LN2 = math.log(2.0)
 
 
 class Family(enum.Enum):
@@ -231,6 +233,9 @@ class ScatteringSolution(NamedTuple):
         Gap derivative of ``T`` at fixed energy, height and bias, 1/m,
         differentiated from the solver's own closed forms (exact to
         rounding).
+    scale, T_scaled, dT_dl_scaled : int, float, float
+        ``T`` and ``dT_dl`` times ``4^scale``: a nonzero ``T_scaled`` lies
+        in [1/2, 2) on the flat core, even where ``T`` underflows; 0 tilted.
     k, k_bar, k0 : float
         Incident, transmitted, and evanescent wavenumbers in 1/m
         (``k_bar = k`` for the symmetric shape).
@@ -249,6 +254,9 @@ class ScatteringSolution(NamedTuple):
     T: float
     R: float
     dT_dl: float
+    scale: int
+    T_scaled: float
+    dT_dl_scaled: float
     k: float
     k_bar: float
     k0: float
@@ -340,8 +348,17 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
 
     # (k_bar/k) |t|^2 without squaring the underflow-prone t itself.
     # Rounding can push either probability a few ulps past 1.
-    T = min(1.0, (k_bar / k) * (abs(t_anchored) ** 2) * m2)
+    t_sq = (k_bar / k) * (abs(t_anchored) ** 2)
+    T = min(1.0, t_sq * m2)
     R = min(1.0, abs(r) ** 2)
+    # T 4^scale: T itself where it is normal; past that, u = n ln2 + rem
+    # split exactly by fmod gives exp(-2u) = 4^-n exp(-2 rem).
+    scale, T_scaled = 0, T
+    if T < sys.float_info.min and u < math.inf:
+        rem = math.fmod(u, _LN2)
+        scale, T_scaled = round((u - rem) / _LN2), t_sq * math.exp(-2.0 * rem)
+    shift = math.frexp(T_scaled)[1] // 2
+    scale, T_scaled = scale - shift, math.ldexp(T_scaled, -2 * shift)
 
     # Gap derivative: T = (k_bar/k) 16 k^2 k0^2 m2 / G with
     # G = k0^2 (k+k_bar)^2 (1+m2)^2 + (k0^2 - k k_bar)^2 (1-m2)^2,
@@ -350,7 +367,8 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     decay = (k0**2 - k * k_bar) ** 2
     g = grow * one_p**2 + decay * one_m**2
     g_prime = -4.0 * k0 * m2 * (grow * one_p - decay * one_m)
-    dT_dl = T * (-2.0 * k0 - g_prime / g)
+    log_slope = -2.0 * k0 - g_prime / g
+    dT_dl = T * log_slope
 
     phase_b = cmath.exp(1j * k_bar * length)
     g_plus = 0.5 * t * phase_b * complex(1.0, k_bar / k0)
@@ -365,6 +383,9 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         T,
         R,
         dT_dl,
+        scale,
+        T_scaled,
+        T_scaled * log_slope,
         k,
         k_bar,
         k0,
@@ -522,6 +543,9 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         _saturating_scale(g_bi, -zeta_a),
         T,
         R,
+        dT_dl,
+        0,
+        T,
         dT_dl,
         k,
         k_bar,

@@ -5,17 +5,11 @@ distributed count with variance ``N T R``.  Reading the gap width off
 the mean count through the gap dependence of the transmission turns
 that spread into a position resolution ``delta_l``; the second moment
 of the momentum actually delivered to the wall gives the disturbance
-``delta_p``.  For the flat symmetric barrier the pair saturates the
-Heisenberg bound exactly; the biased families land above it.
-
-The gap derivative of the transmission has two routes.  The solver
-differentiates its own closed forms while it solves and stores the
-result as ``ScatteringSolution.dT_dl`` (default); the other route is
-Richardson-extrapolated central differences re-solving at displaced
-gaps under Ridders' scheme (``finite_diff``).  The closed forms are exact
-to rounding, which the bound checks need; the numeric route is kept as
-an independent cross-check and for ``both`` mode, which runs the two
-against each other.
+``delta_p``.  Their product over ``hbar`` is exactly 1/2 on the symmetric
+barrier; the asymmetric one falls below 1/2 at thin gaps (0.49294 at
+``phi`` 1 eV, 0.05 nm) and the tilted one grows with the gap, since this
+variance is the wall-displacement generator's spread on the symmetric
+barrier only.  :func:`dT_dl` has a closed-form and a numeric route.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ class UncertaintyResult(NamedTuple):
     delta_p : float
         Imparted momentum uncertainty, kg m/s.
     product_over_hbar : float
-        ``delta_l * delta_p / hbar``; bounded below by 1/2.
+        ``delta_l * delta_p / hbar``; exactly 1/2 on the symmetric barrier.
     n_electrons : float
         Batch size N the pair was evaluated at (the product is
         N-independent).
@@ -193,26 +187,41 @@ def dT_dl(
     return numeric
 
 
+def _normal(name: str, mantissa: float, exponent: int, sol) -> float:
+    """``mantissa 2^exponent``, or the range error naming it if no normal float."""
+    power = math.frexp(mantissa)[1] + exponent
+    if mantissa and not sys.float_info.min_exp <= power <= sys.float_info.max_exp:
+        raise RangeError(
+            f"{name} is about 2^{power}, outside the normal floats, at T about "
+            f"2^{math.frexp(sol.T_scaled)[1] - 2 * sol.scale}"
+            f"{', which underflows' if sol.T < sys.float_info.min else ''}"
+            ": the barrier is too opaque for the uncertainty pair"
+        )
+    return math.ldexp(mantissa, exponent)
+
+
 def position_uncertainty(sol: ScatteringSolution, N: float = 1.0) -> Length:
     """Position resolution from counting N transmitted electrons.
 
-    ``delta_l = sqrt(T R / N) / |dT/dl|`` with the solver's gap
-    derivative ``sol.dT_dl``.  A vanishing derivative means the count
-    carries no first-order gap information; inverting it would need the
-    second-order expansion, which is out of scope, so that input is
-    rejected.
+    ``delta_l = sqrt(T R / N) / |dT/dl|``, formed from the solver's scaled
+    ``T`` and gap derivative so that it keeps its digits where ``T``
+    underflows.  A vanishing derivative means the count carries no
+    first-order gap information; inverting it would need the second-order
+    expansion, which is out of scope, so that input is rejected.
     """
     n = _check_count(N)
-    dT_dl = sol.dT_dl
+    dT_dl = sol.dT_dl_scaled
     if not math.isfinite(dT_dl):
         raise DomainError(f"transmission derivative must be finite, got {dT_dl!r}")
     if dT_dl == 0.0:
         raise DomainError(
-            "transmission derivative is zero: the first-order count-to-gap "
+            "transmission underflows to 0, even scaled" if sol.T_scaled == 0.0
+            else "transmission derivative is zero: the first-order count-to-gap "
             "inversion degenerates and a second-order expansion would be "
             "required, which is out of scope"
         )
-    return Length(math.sqrt(sol.T * sol.R / n) / abs(dT_dl))
+    root = math.sqrt(sol.T_scaled * sol.R / n) / abs(dT_dl)
+    return Length(_normal("delta_l", root, sol.scale, sol))
 
 
 def kick_variance(
@@ -220,19 +229,14 @@ def kick_variance(
 ) -> "tuple[float, int]":
     """Per-attempt momentum-kick variance ``v 4^-e`` of the wall fluxes, as ``(v, e)``.
 
-    ``v`` is the bracket ``-j_p2_t/j_in + (j_p_t/j_in)^2`` formed times
-    ``2^(2e)`` with ``e = transferred.exponent``, which is exact, and
-    keeps its digits on opaque rectangular barriers.  The bracket is a
-    variance; excursions below zero smaller than 1e-12 of the natural
-    ``hbar^2 (k^2 + k0^2) T`` scale are rounding and clamp to zero,
-    anything larger is an inconsistent flux set and raises.  A ``T`` or a
-    second moment below the smallest normal float raises the range error.
+    ``v`` is the bracket ``-j_p2_t/j_in + (j_p_t/j_in)^2`` formed exactly
+    times ``4^e``, ``e = transferred.exponent``, so it keeps its digits on
+    opaque rectangular barriers.  Below zero by less than 1e-12 of the
+    natural ``hbar^2 (k^2 + k0^2) T`` scale it is rounding and clamps to 0.
+    Further below it raises the domain error on a tilted interior with
+    ``phi > 2 (V0 - E)``, the consistency error anywhere else; a subnormal
+    second moment raises the range error.
     """
-    if sol.T < sys.float_info.min:
-        raise RangeError(
-            f"transmission underflows: T = {sol.T!r} is below the smallest "
-            "normal float; the barrier is too opaque for the kick variance"
-        )
     j_in = sol.incident_flux
     e = transferred.exponent
     second_moment = -transferred.scaled_j_p2_t / j_in
@@ -247,20 +251,21 @@ def kick_variance(
     mean_kick = math.ldexp(transferred.j_p_t / j_in, e)
     bracket = second_moment + mean_kick * mean_kick
     if bracket < 0.0:
-        k = sol.k
-        k0 = sol.k0
+        k, k0 = sol.k, sol.k0
         natural = HBAR**2 * (k * k + k0 * k0) * math.ldexp(sol.T, 2 * e)
+        spec = sol.barrier
         if bracket >= -1e-12 * natural:
             bracket = 0.0
+        elif sol.tilted_interior and spec.phi.ev > 2.0 * (spec.V0.ev - sol.energy.ev):
+            raise DomainError(
+                f"bias phi = {spec.phi.ev!r} eV is past 2 (V0 - E): the half-sum "
+                "second moment changes sign there and is no variance"
+            )
         else:
             raise ConsistencyError(
                 "momentum-variance bracket is negative beyond the rounding "
                 f"guard: {bracket!r} (kg m/s)^2 against natural scale "
-                f"{natural!r}. For tilted barriers this is genuine once the "
-                "bias exceeds twice the barrier depth above the energy "
-                "(the transferred second moment changes sign there and the "
-                "first-moment bookkeeping stops describing a variance); "
-                "otherwise it indicates inconsistent fluxes."
+                f"{natural!r}; the fluxes are inconsistent"
             )
     return bracket, e
 
@@ -271,19 +276,17 @@ def momentum_uncertainty(
     """Momentum kick spread after N electrons, from the wall fluxes:
     ``sqrt(N v) 2^-e`` with ``(v, e)`` from :func:`kick_variance`."""
     v, e = kick_variance(transferred, sol)
-    return math.ldexp(math.sqrt(_check_count(N) * v), -e)
+    return _normal("delta_p", math.sqrt(_check_count(N) * v), -e, sol)
 
 
 def uncertainty_of(
     sol: ScatteringSolution, N: float = 1.0, fluxes: "TransferredFluxes | None" = None
 ) -> UncertaintyResult:
     """Uncertainty pair of a solved state: ``delta_l`` from its ``dT_dl``,
-    ``delta_p`` from its wall fluxes, formed here unless the caller passes
-    them.
+    ``delta_p`` from its wall ``fluxes``, formed here unless given.
 
     The product ``delta_l * delta_p / hbar`` is invariant under N
-    (position tightens, momentum spreads); the symmetric flat barrier
-    sits at exactly 1/2.
+    (position tightens, momentum spreads).
     """
     n = _check_count(N)
     delta_l = position_uncertainty(sol, n)

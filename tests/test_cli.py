@@ -227,13 +227,12 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         (["sweep", "--barrier", "field", "--sweep", "phi", "--gap", "0"], "gap"),
         (["solve", "--barrier", "sym", "--gap", "150"], "underflow"),
         (["solve", "--barrier", "sym", "--gap", "200"], "underflow"),
-        (["feasibility", "--gap", "150"], "underflow"),
         (["solve", "--E", "1e-300"], "underflows to zero"),
         (["solve", "--V0", "1e-300", "--E", "1e-301"], "underflows to zero"),
         (["solve", "--barrier", "field", "--phi", "1", "--E", "1e-300"], "underflows"),
         (["solve", "--V0", "1e300", "--E", "1"], "OverflowError"),
         (["feasibility", "--I0", "1e-320"], "ZeroDivisionError"),
-        (["solve", "--barrier", "sym", "--gap", "35"], "underflows"),
+        (["solve", "--barrier", "sym", "--gap", "65"], "delta_p is about 2^-1039"),
         (["sweep", "--sweep", "gap", "--V0", "-1"], "barrier height"),
         (["sweep", "--sweep", "gap", "--E", "7"], "E < V0"),
         (["sweep", "--sweep", "gap", "--E", "-1"], "incident energy"),
@@ -290,13 +289,12 @@ def test_usage_errors_exit_two_and_name_the_field(capsys, argv, fragment):
         "sweep-phi-zero-gap",
         "solve-sym-gap-150",
         "solve-sym-gap-200",
-        "feasibility-gap-150",
         "solve-E-underflows-k",
         "solve-V0-and-E-underflow-k",
         "solve-field-E-underflows-k",
         "solve-V0-overflows-k0-squared",
         "feasibility-I0-underflows-s-fq",
-        "solve-sym-gap-35-kick-underflows",
+        "solve-sym-gap-65-delta-p-underflows",
         "sweep-gap-negative-V0",
         "sweep-gap-E-above-V0",
         "sweep-gap-negative-E",
@@ -355,7 +353,8 @@ def test_opaque_symmetric_solve_is_a_value(capsys):
     [
         (["--barrier", "asym", "--V0", "1e300", "--steps", "3"], 0, "OverflowError"),
         (
-            ["--barrier", "field", "--gap", "36", "--min", "0", "--max", "3", "--steps", "4"],
+            ["--barrier", "field", "--V0", "2", "--gap", "160", "--min", "0", "--max", "3",
+             "--steps", "4"],
             1,
             "underflows",
         ),
@@ -510,11 +509,11 @@ def test_json_sweep_with_an_unused_non_finite_input_writes_no_file(
     assert len(parse_csv(out)[2]) == 3
 
 
-def test_consistency_failure_exits_four(capsys):
-    # Strong bias on a shallow tilted barrier: the momentum-variance
-    # bookkeeping genuinely turns negative, which the library reports as
-    # an internal-consistency failure rather than a skippable row.
-    code, _, err = run(
+def test_bias_past_twice_the_depth_skips_its_rows(capsys):
+    # Strong bias on a shallow tilted barrier: past phi = 2 (V0 - E) the
+    # half-sum variance bracket genuinely turns negative, a domain limit
+    # of the bookkeeping, so those rows are skipped and counted.
+    code, out, err = run(
         capsys,
         "sweep",
         "--barrier",
@@ -530,8 +529,44 @@ def test_consistency_failure_exits_four(capsys):
         "--steps",
         "3",
     )
-    assert code == 4
-    assert "internal consistency" in err
+    assert code == 0 and err == ""
+    _, _, rows, footer = parse_csv(out)
+    assert rows == [] and "# skipped_rows: 3" in footer
+
+
+def test_bias_sweep_past_twice_the_depth_keeps_the_rows_below(capsys):
+    code, out, err = run(capsys, "sweep", "--V0", "3", "--E", "1", "--max", "6",
+                         "--steps", "41")
+    assert code == 0 and err == ""
+    _, _, rows, footer = parse_csv(out)
+    # The first 30 of the 41 biases print; the 11 skipped ones, from 4.5
+    # eV on, all lie past 2 (V0 - E) = 4 eV.
+    assert "# skipped_rows: 11" in footer and len(rows) == 30
+    assert rows[-1][0] == pytest.approx(4.35)
+    code, out, _ = run(capsys, "solve", "--barrier", "field", "--V0", "3", "--E", "1",
+                       "--phi", "5", "--gap", "0.5")
+    assert code == 0
+    assert "2 (V0 - E)" in json.loads(out)["uncertainty"]["unavailable"]
+
+
+def test_opaque_symmetric_rows_print_while_the_pair_is_normal(capsys):
+    argv = ["sweep", "--barrier", "sym", "--sweep", "gap", "--min", "30", "--max", "40",
+            "--steps", "3", "--columns", "T,delta_l,delta_p,product,s_fq"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    _, _, rows, footer = parse_csv(out)
+    assert "# skipped_rows: 0" in footer and len(rows) == 3
+    # T itself is subnormal at 35 nm and 0 at 40 nm; the pair is not.
+    assert rows[1][1] < sys.float_info.min and rows[2][1] == 0.0
+    assert all(row[4] == 0.5 for row in rows)
+
+
+def test_opaque_feasibility_is_a_value(capsys):
+    # T underflows to 0 at 150 nm, but the closed form and the kick route
+    # of s_fq are both formed from scaled values, so the report prints.
+    code, out, err = run(capsys, "feasibility", "--gap", "150")
+    assert code == 0 and err == ""
+    assert "quantum force PSD S_fQ:   1.4575013922" in out
 
 
 def test_missing_subcommand_is_an_argparse_usage_error(capsys):

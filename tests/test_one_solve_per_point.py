@@ -91,8 +91,12 @@ def test_symmetric_solve_dump_with_s_fq_forms_the_wall_fluxes_once(
     [
         # T underflows to 0 on the tilted solver: no uncertainty pair.
         ["--barrier", "field", "--phi", "1", "--gap", "40"],
+        # A bias past 2 (V0 - E): the half-sum bracket is no variance.
+        ["--barrier", "field", "--V0", "3", "--E", "1", "--phi", "5", "--gap", "0.5"],
+        # The pair leaves the normal floats on an opaque asymmetric barrier.
+        ["--barrier", "asym", "--phi", "1", "--gap", "80"],
     ],
-    ids=["field-T-underflows"],
+    ids=["field-T-underflows", "field-past-twice-the-depth", "asym-pair-overflows"],
 )
 def test_dump_without_an_uncertainty_pair_forms_the_wall_fluxes_once(
     monkeypatch, capsys, argv

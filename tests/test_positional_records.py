@@ -60,6 +60,12 @@ def test_solution_fields(sol):
     assert sol.R == min(1.0, abs(sol.r) ** 2)
     assert close(sol.T + sol.R, 1.0)
     assert sol.dT_dl < 0.0 and close(sol.dT_dl, dT_dl(sol, "numeric"), rel=1e-6)
+    assert sol.T_scaled == math.ldexp(sol.T, 2 * sol.scale)
+    assert sol.dT_dl_scaled == math.ldexp(sol.dT_dl, 2 * sol.scale)
+    if sol.tilted_interior:
+        assert sol.scale == 0
+    else:
+        assert sol.scale == -(math.frexp(sol.T)[1] // 2) and sol.scale != 0
 
 
 def test_rectangular_interior_fields():

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tunnelnoise.errors import ConsistencyError, DomainError, UsageError
+from tunnelnoise.errors import ConsistencyError, DomainError, RangeError, UsageError
 from tunnelnoise.fluxes import TransferredFluxes, transferred_fluxes
+from tunnelnoise.noise import quantum_force_psd
 from tunnelnoise.scattering import BarrierSpec, solve
 from tunnelnoise.uncertainty import (
     DerivativeMethod,
@@ -146,9 +147,9 @@ def test_position_uncertainty_count_scaling():
 def test_position_uncertainty_rejects_degenerate_derivative():
     sol = solve(Energy.from_ev(1.0), BarrierSpec.symmetric(5.0, 0.5))
     with pytest.raises(DomainError, match="second-order"):
-        position_uncertainty(sol._replace(dT_dl=0.0), 1.0)
+        position_uncertainty(sol._replace(dT_dl=0.0, dT_dl_scaled=0.0), 1.0)
     with pytest.raises(DomainError):
-        position_uncertainty(sol._replace(dT_dl=math.nan), 1.0)
+        position_uncertainty(sol._replace(dT_dl=math.nan, dT_dl_scaled=math.nan), 1.0)
     with pytest.raises(DomainError):
         position_uncertainty(sol._replace(dT_dl=-1e9), 0.5)
 
@@ -299,12 +300,25 @@ def test_tilted_product_collapses_at_strong_bias():
     # As the bias approaches twice the barrier depth above the energy,
     # the momentum bracket shrinks to zero and the product falls below
     # any fixed bound; past the threshold the bracket is genuinely
-    # negative and the consistency error names the regime.
+    # negative and the domain error names the limit.
     e = Energy.from_ev(1.0)
     near = uncertainty_product(e, BarrierSpec.linear_field(2.0, 1.99, 0.3))
     assert near.product_over_hbar < 0.25
-    with pytest.raises(ConsistencyError, match="bias"):
+    with pytest.raises(DomainError, match=r"past 2 \(V0 - E\)") as exc:
         uncertainty_product(e, BarrierSpec.linear_field(2.0, 2.5, 0.3))
+    assert not isinstance(exc.value, RangeError)
+
+
+def test_negative_bracket_below_twice_the_depth_is_inconsistent():
+    # Below phi = 2 (V0 - E) a negative bracket means fluxes that do not
+    # describe a variance: the consistency error, never a skippable row.
+    sol = solve(Energy.from_ev(1.0), BarrierSpec.linear_field(5.0, 2.0, 0.5))
+    fluxes = transferred_fluxes(sol)
+    mean_kick = fluxes.j_p_t / sol.incident_flux
+    # A second moment of minus twice the squared mean kick: bracket -mean^2.
+    j_p2_t = 2.0 * mean_kick * mean_kick * sol.incident_flux
+    with pytest.raises(ConsistencyError, match="inconsistent"):
+        kick_variance(fluxes._replace(j_p2_t=j_p2_t, scaled_j_p2_t=j_p2_t), sol)
 
 
 def test_tilted_product_grows_with_bias():
@@ -357,6 +371,39 @@ def test_product_through_opaque_rect_barriers(kind, k0_l, v0, frac, phi):
         assert abs(res.product_over_hbar - 0.5) <= 1e-10
     else:
         assert math.isfinite(res.product_over_hbar) and res.product_over_hbar > 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    two_k0_l=st.floats(700.0, 1400.0),
+    v0=st.floats(1.0, 20.0),
+    frac=st.floats(0.01, 0.99),
+)
+@example(two_k0_l=1290.0, v0=5.0, frac=0.2)
+@example(two_k0_l=1320.0, v0=5.0, frac=0.2)
+def test_opaque_symmetric_figures_stay_normal_or_the_point_is_refused(
+    two_k0_l, v0, frac
+):
+    # T underflows from 2 k0 l near 708, but the pair is formed from the
+    # solver's scaled T and stays normal up to about 2 k0 l = 1300 (1298
+    # to 1309 over these V0 and E).  Past that edge delta_p turns
+    # subnormal or delta_l overflows, and the point raises the range error
+    # rather than printing a product that has lost its digits.
+    e = frac * v0
+    k0 = wavenumber_evanescent(ev_to_joules(v0), ev_to_joules(e))
+    spec = BarrierSpec.symmetric(v0, two_k0_l / (2.0 * k0) / NM)
+    try:
+        res = uncertainty_product(Energy.from_ev(e), spec)
+        s_fq = quantum_force_psd(1e-6, res.solution, res.fluxes)
+    except RangeError:
+        assert two_k0_l > 1290.0
+        return
+    sol = res.solution
+    figures = (sol.R, res.delta_l.nm, res.delta_p, res.product_over_hbar, s_fq)
+    assert all(sys.float_info.min <= x < math.inf for x in figures)
+    assert 0.0 <= sol.T < 1e-300
+    assert abs(sol.T + sol.R - 1.0) <= 1e-10
+    assert abs(res.product_over_hbar - 0.5) <= 1e-10
 
 
 def test_result_records_provenance():
