@@ -76,9 +76,9 @@ class TransferredFluxes(NamedTuple):
     """Momentum and momentum-squared fluxes absorbed by the wall at x = l.
 
     ``v2_description`` records which part of the barrier force was
-    attributed to the wall when forming the fluxes.  ``scaled_j_p2_t`` is
-    ``j_p2_t`` times ``2^(2 exponent)``, exactly; it stays a normal float
-    where ``j_p2_t`` of an opaque barrier underflows.
+    attributed to the wall when forming the fluxes.  ``scaled_j_p2_t``,
+    ``j_p2_t`` times ``2^(2 exponent)`` formed from ``T_scaled``, stays a
+    normal float where ``j_p2_t`` of an opaque barrier underflows.
     """
 
     j_p_t: float

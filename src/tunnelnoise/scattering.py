@@ -351,8 +351,8 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     t_sq = (k_bar / k) * (abs(t_anchored) ** 2)
     T = min(1.0, t_sq * m2)
     R = min(1.0, abs(r) ** 2)
-    # T 4^scale: T itself where it is normal; past that, u = n ln2 + rem
-    # split exactly by fmod gives exp(-2u) = 4^-n exp(-2 rem).
+    # T 4^scale: T where normal; past that u = n ln2 + rem (exact fmod) gives
+    # exp(-2u) = 4^-n exp(-2 rem) to 2n |ln2 - _LN2| (4e-14 at 2 k0 l = 1300).
     scale, T_scaled = 0, T
     if T < sys.float_info.min and u < math.inf:
         rem = math.fmod(u, _LN2)

@@ -252,7 +252,7 @@ def kick_variance(
     bracket = second_moment + mean_kick * mean_kick
     if bracket < 0.0:
         k, k0 = sol.k, sol.k0
-        natural = HBAR**2 * (k * k + k0 * k0) * math.ldexp(sol.T, 2 * e)
+        natural = HBAR**2 * (k * k + k0 * k0) * sol.T_scaled
         spec = sol.barrier
         if bracket >= -1e-12 * natural:
             bracket = 0.0

@@ -534,6 +534,22 @@ def test_bias_past_twice_the_depth_skips_its_rows(capsys):
     assert rows == [] and "# skipped_rows: 3" in footer
 
 
+def test_consistency_failure_exits_four(capsys, monkeypatch):
+    # A consistency error is never a skipped row: it aborts the sweep.
+    from tunnelnoise import uncertainty
+    from tunnelnoise.errors import ConsistencyError
+
+    def inconsistent(transferred, sol):
+        raise ConsistencyError("injected")
+
+    monkeypatch.setattr(uncertainty, "kick_variance", inconsistent)
+    code, out, err = run(
+        capsys, "sweep", "--barrier", "sym", "--sweep", "gap", "--steps", "3"
+    )
+    assert code == 4 and out == ""
+    assert err == "internal consistency failure: injected\n"
+
+
 def test_bias_sweep_past_twice_the_depth_keeps_the_rows_below(capsys):
     code, out, err = run(capsys, "sweep", "--V0", "3", "--E", "1", "--max", "6",
                          "--steps", "41")
