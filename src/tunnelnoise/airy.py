@@ -230,10 +230,8 @@ def _anchor_series(anchor: float) -> tuple:
 
 
 def _airy_marched(z: float) -> tuple[float, float, float, float]:
+    # For 2 < |z| < 9 the nearest anchor lies on [2, 9] or [-9, -2].
     anchor = round(z / _ANCHOR_STEP) * _ANCHOR_STEP
-    anchor = min(max(anchor, -_ASYMPTOTIC_EDGE), _ASYMPTOTIC_EDGE)
-    if abs(anchor) < _MACLAURIN_EDGE:
-        anchor = math.copysign(_MACLAURIN_EDGE, z)
     ai0, aip0, ai_pairs, bi0, bip0, bi_pairs = _anchor_series(anchor)
     h = z - anchor
     ai, aip = _taylor_sum(ai_pairs, ai0, aip0, h)
@@ -254,18 +252,46 @@ _U = tuple(itertools.accumulate(
 _V = (1.0, *(_U[k] * (6 * k + 1) / (1 - 6 * k) for k in range(1, 42)))
 
 
-def _asymptotic_sums(inv_zeta: float, phase_form: bool) -> tuple[float, ...]:
-    """Truncated u/v asymptotic sums.
+def _exponential_sums(inv_zeta: float) -> tuple[float, float, float, float]:
+    """Truncated u/v asymptotic sums of the exponential regime: the
+    alternating sums of both families, then the plain ones.
 
-    Exponential regime: the alternating (s0) and plain (s1) sums of both
-    families.  Phase regime: their even-index (s0) and odd-index (s1)
-    sums, signs alternating inside each.  Terms are added in index order,
-    uncompensated, so no value depends on how ``sum()`` rounds, until
-    they stop shrinking (optimal truncation), drop below machine
-    precision, or k passes 40.
+    Terms are added in index order, uncompensated, so no value depends on
+    how ``sum()`` rounds, until they stop shrinking (optimal truncation),
+    drop below machine precision, or k passes 40.  With ``inv_zeta > 0``
+    every u term is positive and every v term negative, so the stopping
+    tests need no ``abs``.
+    """
+    s0_u = s0_v = s1_u = s1_v = 1.0
+    last_u = 1.0
+    power = 1.0
+    for k in range(1, 42):
+        power *= inv_zeta
+        term_u = _U[k] * power
+        term_v = _V[k] * power
+        if k > 2 and term_u >= last_u:
+            break
+        last_u = term_u
+        s1_u += term_u
+        s1_v += term_v
+        if k & 1:
+            s0_u -= term_u
+            s0_v -= term_v
+        else:
+            s0_u += term_u
+            s0_v += term_v
+        if term_u < 1e-18 and term_v > -1e-18:
+            break
+    return s0_u, s0_v, s1_u, s1_v
+
+
+def _phase_sums(inv_zeta: float) -> tuple[float, float, float, float]:
+    """Truncated u/v asymptotic sums of the phase regime: the even-index
+    and odd-index sums of u, then of v, signs alternating inside each.
+    Terms are added and truncated as in :func:`_exponential_sums`.
     """
     s0_u = s0_v = 1.0
-    s1_u = s1_v = 0.0 if phase_form else 1.0
+    s1_u = s1_v = 0.0
     last_u = 1.0
     power = 1.0
     for k in range(1, 42):
@@ -275,12 +301,9 @@ def _asymptotic_sums(inv_zeta: float, phase_form: bool) -> tuple[float, ...]:
         if abs(term_u) >= abs(last_u) and k > 2:
             break
         last_u = term_u
-        if not phase_form:
-            s1_u += term_u
-            s1_v += term_v
-        if k & (2 if phase_form else 1):
+        if k & 2:
             term_u, term_v = -term_u, -term_v
-        if phase_form and k & 1:
+        if k & 1:
             s1_u += term_u
             s1_v += term_v
         else:
@@ -288,9 +311,7 @@ def _asymptotic_sums(inv_zeta: float, phase_form: bool) -> tuple[float, ...]:
             s0_v += term_v
         if abs(term_u) < 1e-18 and abs(term_v) < 1e-18:
             break
-    if phase_form:
-        return s0_u, s1_u, s0_v, s1_v
-    return s0_u, s0_v, s1_u, s1_v
+    return s0_u, s1_u, s0_v, s1_v
 
 
 def _airy_asymptotic_positive(z: float) -> tuple[float, float, float, float, float]:
@@ -298,7 +319,7 @@ def _airy_asymptotic_positive(z: float) -> tuple[float, float, float, float, flo
     rz = math.sqrt(z)
     zeta = (2.0 / 3.0) * z * rz
     z14 = math.sqrt(rz)
-    s_u_alt, s_v_alt, s_u, s_v = _asymptotic_sums(1.0 / zeta, phase_form=False)
+    s_u_alt, s_v_alt, s_u, s_v = _exponential_sums(1.0 / zeta)
     ai_s = s_u_alt / (2.0 * _SQRTPI * z14)
     aip_s = -z14 * s_v_alt / (2.0 * _SQRTPI)
     bi_s = s_u / (_SQRTPI * z14)
@@ -312,7 +333,7 @@ def _airy_asymptotic_negative(z: float) -> tuple[float, float, float, float]:
     rx = math.sqrt(x)
     xi = (2.0 / 3.0) * x * rx
     x14 = math.sqrt(rx)
-    u_even, u_odd, v_even, v_odd = _asymptotic_sums(1.0 / xi, phase_form=True)
+    u_even, u_odd, v_even, v_odd = _phase_sums(1.0 / xi)
     c = math.cos(xi - 0.25 * math.pi)
     s = math.sin(xi - 0.25 * math.pi)
     ai = (c * u_even + s * u_odd) / (_SQRTPI * x14)

@@ -189,14 +189,21 @@ def _base_point(config: SweepConfig) -> "tuple[Energy, BarrierSpec]":
 
 
 def _moved(variable: SweepVariable, base: tuple, value: float) -> tuple:
-    """The point ``base`` with only the swept ``variable`` set to ``value``."""
+    """The point ``base`` with only the swept ``variable`` set to ``value``.
+
+    ``base`` holds the checked barrier at the swept variable's minimum, and
+    a moved gap or bias is at least that minimum (a bias sweep has a biased
+    family), so the moved barrier passes the checks of ``BarrierSpec``
+    too: ``_make`` builds it without repeating them.
+    """
     energy, spec = base
     if variable is SweepVariable.ENERGY:
         return Energy.from_ev(value), spec
     if variable is SweepVariable.GAP:
         gap = Length.from_nm(value)
-        return energy, BarrierSpec(spec.family, spec.V0, spec.phi, gap)
-    return energy, BarrierSpec(spec.family, spec.V0, Energy.from_ev(value), spec.gap)
+        return energy, BarrierSpec._make((spec.family, spec.V0, spec.phi, gap))
+    phi = Energy.from_ev(value)
+    return energy, BarrierSpec._make((spec.family, spec.V0, phi, spec.gap))
 
 
 def _point_values(config: SweepConfig, base: tuple, value: float) -> tuple:
@@ -204,7 +211,7 @@ def _point_values(config: SweepConfig, base: tuple, value: float) -> tuple:
     ``value``, in documented units and in ``_ALL_COLUMNS`` order; s_fq
     is None unless the sweep asks for it."""
     point = _moved(config.variable, base, value)
-    result = uncertainty_product(*point, config.n_electrons)
+    result = uncertainty_of(solve(*point), config.n_electrons)
     sol = result.solution
     s_fq = None
     if "s_fq" in config.outputs:

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_HBAR_SQ = HBAR**2
+_HBAR_CUBE = HBAR**3
 
 
 class FluxReport(NamedTuple):
@@ -120,12 +122,12 @@ def _report_from_sample(sample: WavefunctionSample, side: Side) -> FluxReport:
     im_psi_d1 = (psi_c * sample.d1).imag
     j = HBAR / ELECTRON_MASS * im_psi_d1
     j_p = (
-        HBAR**2
+        _HBAR_SQ
         / (2.0 * ELECTRON_MASS)
         * (abs(sample.d1) ** 2 - (psi_c * sample.d2).real)
     )
     j_p2 = (
-        -(HBAR**3)
+        -_HBAR_CUBE
         / (2.0 * ELECTRON_MASS)
         * ((psi_c * sample.d3).imag - (d1_c * sample.d2).imag)
     )
@@ -135,7 +137,7 @@ def _report_from_sample(sample: WavefunctionSample, side: Side) -> FluxReport:
         j_p2=j_p2,
         rho=rho,
         rho_p=HBAR * im_psi_d1,
-        rho_p2=-(HBAR**2) * (psi_c * sample.d2).real,
+        rho_p2=-_HBAR_SQ * (psi_c * sample.d2).real,
         x=sample.x,
         side=side,
     )
@@ -173,13 +175,13 @@ def _exterior_currents(sol: ScatteringSolution, net: float, total: float, rho_b:
     rho_a = abs(1.0 + sol.r) ** 2 / _TWO_PI
     left = (
         HBAR * k / ELECTRON_MASS * net / _TWO_PI,
-        HBAR**2 * k**2 / ELECTRON_MASS * total / _TWO_PI,
-        HBAR**3 * k**3 / ELECTRON_MASS * net / _TWO_PI,
+        _HBAR_SQ * k**2 / ELECTRON_MASS * total / _TWO_PI,
+        _HBAR_CUBE * k**3 / ELECTRON_MASS * net / _TWO_PI,
     )
     right = (
         HBAR * k_bar / ELECTRON_MASS * rho_b,
-        HBAR**2 * k_bar**2 / ELECTRON_MASS * rho_b,
-        HBAR**3 * k_bar**3 / ELECTRON_MASS * rho_b,
+        _HBAR_SQ * k_bar**2 / ELECTRON_MASS * rho_b,
+        _HBAR_CUBE * k_bar**3 / ELECTRON_MASS * rho_b,
     )
     return rho_a, left, rho_b, right
 
@@ -214,9 +216,9 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     if not sol.tilted_interior:
         # j_p2_t is proportional to T; formed again with the solver's
         # T_scaled, which is of order 1, it stays normal at any opacity.
-        j_p2_per_t = -(HBAR**3) / ELECTRON_MASS * k0**2 * k
+        j_p2_per_t = -_HBAR_CUBE / ELECTRON_MASS * k0**2 * k
         j_p_t = (
-            HBAR**2
+            _HBAR_SQ
             / (2.0 * ELECTRON_MASS)
             * (k_bar**2 - k0**2)
             * (k / k_bar)
@@ -239,10 +241,13 @@ def transferred_fluxes(sol: ScatteringSolution) -> TransferredFluxes:
     # collapses to zero once T drops under rounding, which would leave
     # the two half-sum members unbalanced for very opaque barriers.
     # The edge densities are O(1)-conditioned and safe either way.
+    T = sol.T
     rho_a, (j_const, j_p_a, j_p2_a), rho_b, (_, j_p_b, j_p2_b) = _exterior_currents(
-        sol, sol.T, 2.0 - sol.T, k / k_bar * sol.T / _TWO_PI
+        sol, T, 2.0 - T, k / k_bar * T / _TWO_PI
     )
-    step_a, step_b = _step_heights(sol)
+    # The steps of _step_heights on a tilted interior.
+    step_a = sol.barrier.V0.joules
+    step_b = -step_a
     j_p_in_a = j_p_a - step_a * rho_a
     j_p_in_b = j_p_b + step_b * rho_b
     j_p2_in_a = j_p2_a - 2.0 * ELECTRON_MASS * j_const * step_a
@@ -287,10 +292,10 @@ def jump_residuals(sol: ScatteringSolution) -> JumpResiduals:
     inner_b = currents_at(sol, sol.barrier.gap.meters, Side.LEFT_LIMIT)
 
     unit_p = (
-        HBAR**2 / (2.0 * ELECTRON_MASS) * (k**2 + k0**2 + k_bar**2) / _TWO_PI
+        _HBAR_SQ / (2.0 * ELECTRON_MASS) * (k**2 + k0**2 + k_bar**2) / _TWO_PI
     )
     unit_p2 = (
-        HBAR**3 / (2.0 * ELECTRON_MASS) * (k**3 + k0**3 + k_bar**3) / _TWO_PI
+        _HBAR_CUBE / (2.0 * ELECTRON_MASS) * (k**3 + k0**3 + k_bar**3) / _TWO_PI
     )
     return JumpResiduals(
         momentum_left_edge=abs(inner_a.j_p - j_p_a + step_a * rho_a) / unit_p,

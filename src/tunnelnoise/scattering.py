@@ -35,6 +35,7 @@ from .airy import airy_all, airy_scaled
 from .errors import DomainError, UsageError
 from .units import (
     ELECTRON_MASS,
+    EV,
     HBAR,
     Energy,
     Length,
@@ -68,6 +69,11 @@ PHI_DISPATCH_EV = 1e-9
 # interior coefficients, which are allowed to saturate to inf/0.
 _MAX_EXPONENT = 709.0
 _LN2 = math.log(2.0)
+_FLOAT_MIN = sys.float_info.min
+# 2 m / hbar^2, the factor of the tilted barrier's Airy scale kappa^3.
+_TWO_M_OVER_HBAR_SQ = 2.0 * ELECTRON_MASS / (HBAR * HBAR)
+# 2 pi m, the divisor of the incident flux hbar k / (2 pi m).
+_TWO_PI_M = 2.0 * math.pi * ELECTRON_MASS
 
 
 class Family(enum.Enum):
@@ -76,6 +82,10 @@ class Family(enum.Enum):
     SYMMETRIC_RECT = "symmetric-rect"
     ASYMMETRIC_RECT = "asymmetric-rect"
     LINEAR_FIELD = "linear-field"
+
+    # Members are singletons compared by identity, so the identity hash
+    # serves; it spares solve's table lookup Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
 
 class Side(enum.Enum):
@@ -192,6 +202,16 @@ class _RectInterior(NamedTuple):
     k0: float
     b: float
 
+    @property
+    def c_plus(self) -> complex:
+        """Weight of ``e^{+k0 x}``: ``g_plus`` moved off the right edge."""
+        return _saturating_scale(self.g_plus, -self.k0 * self.b)
+
+    @property
+    def c_minus(self) -> complex:
+        """Weight of ``e^{-k0 x}``, whose anchor is the origin already."""
+        return self.g_minus
+
 
 class _AiryInterior(NamedTuple):
     """Interior wave in scaled Airy form.
@@ -202,6 +222,8 @@ class _AiryInterior(NamedTuple):
     exponent *differences* with exactly computable widths; subtracting
     the (possibly enormous) absolute exponents would lose the shifts in
     rounding long before the scaled values themselves degrade.
+    ``zeta_a``/``zeta_b`` are the exponents of the two edge quads (0 at
+    an edge evaluated unscaled); only the textbook coefficients use them.
     """
 
     g_ai: complex
@@ -211,6 +233,18 @@ class _AiryInterior(NamedTuple):
     b_bar: float
     delta_zeta: float
     b: float
+    zeta_a: float
+    zeta_b: float
+
+    @property
+    def c_plus(self) -> complex:
+        """Weight of the unscaled Ai: ``g_ai e^{2 zeta_b - zeta_a}``."""
+        return _saturating_scale(self.g_ai, 2.0 * self.zeta_b - self.zeta_a)
+
+    @property
+    def c_minus(self) -> complex:
+        """Weight of the unscaled Bi: ``g_bi e^{-zeta_a}``."""
+        return _saturating_scale(self.g_bi, -self.zeta_a)
 
 
 class ScatteringSolution(NamedTuple):
@@ -221,12 +255,6 @@ class ScatteringSolution(NamedTuple):
     t, r : complex
         Transmission and reflection amplitudes against the incident
         plane wave of unit coefficient.
-    c_plus, c_minus : complex
-        Textbook interior coefficients: for the rectangular shapes the
-        weights of ``e^{+k0 x}`` and ``e^{-k0 x}``, for the tilted
-        barrier the weights of the regular and irregular Airy function.
-        These are exact values and may saturate to 0 or inf for very
-        opaque barriers; ``eval_wavefunction`` does not use them.
     T, R : float
         Transmission and reflection probabilities, ``T + R = 1``.
     dT_dl : float
@@ -245,12 +273,20 @@ class ScatteringSolution(NamedTuple):
         The barrier that was solved.
     energy : Energy
         Incident kinetic energy.
+    interior : _RectInterior or _AiryInterior
+        The interior wave in anchored form, which ``eval_wavefunction``
+        samples.
+
+    The textbook interior coefficients ``c_plus`` and ``c_minus`` are
+    properties derived from ``interior``, not fields, so they are no
+    ``_replace`` targets: for the rectangular shapes the weights of
+    ``e^{+k0 x}`` and ``e^{-k0 x}``, for the tilted barrier the weights of
+    the regular and irregular Airy function.  They are exact values and
+    may saturate to 0 or inf for very opaque barriers.
     """
 
     t: complex
     r: complex
-    c_plus: complex
-    c_minus: complex
     T: float
     R: float
     dT_dl: float
@@ -272,6 +308,16 @@ class ScatteringSolution(NamedTuple):
         small enough to dispatch to it.  Flux bookkeeping needs this to
         size the potential step actually present at the right edge."""
         return isinstance(self.interior, _AiryInterior)
+
+    @property
+    def c_plus(self) -> complex:
+        """Textbook interior coefficient, derived from ``interior``."""
+        return self.interior.c_plus
+
+    @property
+    def c_minus(self) -> complex:
+        """Textbook interior coefficient, derived from ``interior``."""
+        return self.interior.c_minus
 
 
 class WavefunctionSample(NamedTuple):
@@ -354,7 +400,7 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     # T 4^scale: T where normal; past that u = n ln2 + rem (exact fmod) gives
     # exp(-2u) = 4^-n exp(-2 rem) to 2n |ln2 - _LN2| (4e-14 at 2 k0 l = 1300).
     scale, T_scaled = 0, T
-    if T < sys.float_info.min and u < math.inf:
+    if T < _FLOAT_MIN and u < math.inf:
         rem = math.fmod(u, _LN2)
         scale, T_scaled = round((u - rem) / _LN2), t_sq * math.exp(-2.0 * rem)
     shift = math.frexp(T_scaled)[1] // 2
@@ -378,8 +424,6 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     return ScatteringSolution(
         t,
         r,
-        _saturating_scale(g_plus, -k0 * length),
-        g_minus,
         T,
         R,
         dT_dl,
@@ -389,7 +433,7 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         k,
         k_bar,
         k0,
-        HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
+        HBAR * k / _TWO_PI_M,
         spec,
         energy,
         _RectInterior(g_plus, g_minus, k0, length),
@@ -448,12 +492,12 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     if spec.family is not Family.LINEAR_FIELD:
         raise UsageError(f"solve_linear_field got a {spec.family.value} barrier")
     _check_energy(energy, spec)
-    if spec.phi.ev <= PHI_DISPATCH_EV:
+    phi = spec.phi.joules
+    if phi / EV <= PHI_DISPATCH_EV:
         return _solve_rect(energy, spec)
 
     e = energy.joules
     v0 = spec.V0.joules
-    phi = spec.phi.joules
     k = wavenumber_free(e)
     k_bar = wavenumber_free(e + phi)
     k0 = wavenumber_evanescent(v0, e)
@@ -462,27 +506,30 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     # Local Airy argument z(x) = kappa (beta - x), where beta is the
     # point at which the extended linear potential crosses the incident
     # energy; both edge arguments are built without subtraction.
-    kappa = ((2.0 * ELECTRON_MASS / (HBAR * HBAR)) * phi / length) ** (1.0 / 3.0)
-    a_bar = kappa * (v0 - e) * length / phi
-    b_bar = kappa * length * ((v0 - e) - phi) / phi
+    kappa = (_TWO_M_OVER_HBAR_SQ * phi / length) ** (1.0 / 3.0)
+    depth = v0 - e
+    a_bar = kappa * depth * length / phi
+    b_bar = kappa * length * (depth - phi) / phi
 
-    quad_a, zeta_a = airy_scaled(a_bar)
+    (ai_a, aip_a, bi_a, bip_a, _), zeta_a = airy_scaled(a_bar)
     if b_bar > 0.0:
-        quad_b, zeta_b = airy_scaled(b_bar)
+        (ai_b, aip_b, bi_b, bip_b, _), zeta_b = airy_scaled(b_bar)
         delta_zeta = _zeta_difference(a_bar, b_bar, kappa * length)
     else:
         # Turning point inside the barrier: the right-edge values are
         # order one, so they stay unscaled (zero exponent).
-        quad_b = airy_all(b_bar)
+        ai_b, aip_b, bi_b, bip_b, _ = airy_all(b_bar)
         zeta_b = 0.0
         delta_zeta = zeta_a
 
     # One-sided elimination of the interior: each factor is a scaled
     # combination of an Airy value and its derivative at one edge.
-    p_a = kappa * quad_a.ai_prime - 1j * k * quad_a.ai
-    q_a = kappa * quad_a.bi_prime - 1j * k * quad_a.bi
-    p_b = kappa * quad_b.ai_prime + 1j * k_bar * quad_b.ai
-    q_b = kappa * quad_b.bi_prime + 1j * k_bar * quad_b.bi
+    ik = 1j * k
+    ik_bar = 1j * k_bar
+    p_a = kappa * aip_a - ik * ai_a
+    q_a = kappa * bip_a - ik * bi_a
+    p_b = kappa * aip_b + ik_bar * ai_b
+    q_b = kappa * bip_b + ik_bar * bi_b
 
     damp2 = math.exp(-2.0 * delta_zeta) if delta_zeta <= 350.0 else 0.0
     f_tilde = damp2 * p_a * q_b - q_a * p_b
@@ -494,11 +541,12 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
 
     phase = _transmitted_phase(k_bar, spec)
     damp = math.exp(-delta_zeta) if delta_zeta <= _MAX_EXPONENT else 0.0
-    t = -(2j * k / math.pi) * kappa * phase * damp / f_tilde
+    two_ik = 2j * k
+    t = -(two_ik / math.pi) * kappa * phase * damp / f_tilde
     T = min(
         1.0, (k_bar / k) * (2.0 * k * kappa / math.pi) ** 2 * damp2 / abs(f_tilde) ** 2
     )
-    r = -(1.0 + 2j * k * (damp2 * q_b * quad_a.ai - p_b * quad_a.bi) / f_tilde)
+    r = -(1.0 + two_ik * (damp2 * q_b * ai_a - p_b * bi_a) / f_tilde)
     R = min(1.0, abs(r) ** 2)
 
     # Gap derivative.  All gap dependence enters through kappa ~ l^(-1/3)
@@ -508,23 +556,23 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     # sqrt(z) ai_s (growth factored out; the sqrt(z) terms drop for the
     # unscaled pair used when the turning point sits inside the gap).
     root_a = math.sqrt(a_bar)
-    d_ai_a = quad_a.ai_prime + root_a * quad_a.ai
-    d_aip_a = a_bar * quad_a.ai + root_a * quad_a.ai_prime
-    d_bi_a = quad_a.bi_prime - root_a * quad_a.bi
-    d_bip_a = a_bar * quad_a.bi - root_a * quad_a.bi_prime
+    d_ai_a = aip_a + root_a * ai_a
+    d_aip_a = a_bar * ai_a + root_a * aip_a
+    d_bi_a = bip_a - root_a * bi_a
+    d_bip_a = a_bar * bi_a - root_a * bip_a
     root_b = math.sqrt(b_bar) if b_bar > 0.0 else 0.0
-    d_ai_b = quad_b.ai_prime + root_b * quad_b.ai
-    d_aip_b = b_bar * quad_b.ai + root_b * quad_b.ai_prime
-    d_bi_b = quad_b.bi_prime - root_b * quad_b.bi
-    d_bip_b = b_bar * quad_b.bi - root_b * quad_b.bi_prime
+    d_ai_b = aip_b + root_b * ai_b
+    d_aip_b = b_bar * ai_b + root_b * aip_b
+    d_bi_b = bip_b - root_b * bi_b
+    d_bip_b = b_bar * bi_b - root_b * bip_b
 
     dkappa = -kappa / (3.0 * length)
     da_bar = (2.0 / 3.0) * a_bar / length
     db_bar = (2.0 / 3.0) * b_bar / length
-    dp_a = dkappa * quad_a.ai_prime + (kappa * d_aip_a - 1j * k * d_ai_a) * da_bar
-    dq_a = dkappa * quad_a.bi_prime + (kappa * d_bip_a - 1j * k * d_bi_a) * da_bar
-    dp_b = dkappa * quad_b.ai_prime + (kappa * d_aip_b + 1j * k_bar * d_ai_b) * db_bar
-    dq_b = dkappa * quad_b.bi_prime + (kappa * d_bip_b + 1j * k_bar * d_bi_b) * db_bar
+    dp_a = dkappa * aip_a + (kappa * d_aip_a - ik * d_ai_a) * da_bar
+    dq_a = dkappa * bip_a + (kappa * d_bip_a - ik * d_bi_a) * da_bar
+    dp_b = dkappa * aip_b + (kappa * d_aip_b + ik_bar * d_ai_b) * db_bar
+    dq_b = dkappa * bip_b + (kappa * d_bip_b + ik_bar * d_bi_b) * db_bar
     ddzeta = delta_zeta / length
     df = (
         -2.0 * ddzeta * damp2 * p_a * q_b
@@ -534,13 +582,11 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     dT_dl = T * (-2.0 / (3.0 * length) - 2.0 * ddzeta - 2.0 * (df / f_tilde).real)
 
     g_ai = -2j * k * q_b / f_tilde
-    g_bi = 2j * k * p_b / f_tilde
+    g_bi = two_ik * p_b / f_tilde
 
     return ScatteringSolution(
         t,
         r,
-        _saturating_scale(g_ai, 2.0 * zeta_b - zeta_a),
-        _saturating_scale(g_bi, -zeta_a),
         T,
         R,
         dT_dl,
@@ -550,10 +596,12 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         k,
         k_bar,
         k0,
-        HBAR * k / (2.0 * math.pi * ELECTRON_MASS),
+        HBAR * k / _TWO_PI_M,
         spec,
         energy,
-        _AiryInterior(g_ai, g_bi, kappa, a_bar, b_bar, delta_zeta, length),
+        _AiryInterior(
+            g_ai, g_bi, kappa, a_bar, b_bar, delta_zeta, length, zeta_a, zeta_b
+        ),
     )
 
 

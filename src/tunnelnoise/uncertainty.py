@@ -35,6 +35,11 @@ __all__ = [
     "uncertainty_product",
 ]
 
+_FLOAT_MIN = sys.float_info.min
+_MIN_EXP = sys.float_info.min_exp
+_MAX_EXP = sys.float_info.max_exp
+_HBAR_SQ = HBAR**2
+
 
 class DerivativeMethod(enum.Enum):
     """Route used for the gap derivative of the transmission."""
@@ -190,11 +195,11 @@ def dT_dl(
 def _normal(name: str, mantissa: float, exponent: int, sol) -> float:
     """``mantissa 2^exponent``, or the range error naming it if no normal float."""
     power = math.frexp(mantissa)[1] + exponent
-    if mantissa and not sys.float_info.min_exp <= power <= sys.float_info.max_exp:
+    if mantissa and not _MIN_EXP <= power <= _MAX_EXP:
         raise RangeError(
             f"{name} is about 2^{power}, outside the normal floats, at T about "
             f"2^{math.frexp(sol.T_scaled)[1] - 2 * sol.scale}"
-            f"{', which underflows' if sol.T < sys.float_info.min else ''}"
+            f"{', which underflows' if sol.T < _FLOAT_MIN else ''}"
             ": the barrier is too opaque for the uncertainty pair"
         )
     return math.ldexp(mantissa, exponent)
@@ -209,7 +214,11 @@ def position_uncertainty(sol: ScatteringSolution, N: float = 1.0) -> Length:
     first-order gap information; inverting it would need the second-order
     expansion, which is out of scope, so that input is rejected.
     """
-    n = _check_count(N)
+    return _position_uncertainty(sol, _check_count(N))
+
+
+def _position_uncertainty(sol: ScatteringSolution, n: float) -> Length:
+    """:func:`position_uncertainty` at a checked count ``n``."""
     dT_dl = sol.dT_dl_scaled
     if not math.isfinite(dT_dl):
         raise DomainError(f"transmission derivative must be finite, got {dT_dl!r}")
@@ -240,7 +249,7 @@ def kick_variance(
     j_in = sol.incident_flux
     e = transferred.exponent
     second_moment = -transferred.scaled_j_p2_t / j_in
-    if abs(second_moment) < sys.float_info.min:
+    if abs(second_moment) < _FLOAT_MIN:
         raise RangeError(
             "kick second moment underflows "
             f"({math.ldexp(second_moment, -2 * e)!r} (kg m/s)^2 at T = {sol.T!r}); "
@@ -252,7 +261,7 @@ def kick_variance(
     bracket = second_moment + mean_kick * mean_kick
     if bracket < 0.0:
         k, k0 = sol.k, sol.k0
-        natural = HBAR**2 * (k * k + k0 * k0) * sol.T_scaled
+        natural = _HBAR_SQ * (k * k + k0 * k0) * sol.T_scaled
         spec = sol.barrier
         if bracket >= -1e-12 * natural:
             bracket = 0.0
@@ -275,8 +284,15 @@ def momentum_uncertainty(
 ) -> float:
     """Momentum kick spread after N electrons, from the wall fluxes:
     ``sqrt(N v) 2^-e`` with ``(v, e)`` from :func:`kick_variance`."""
+    return _momentum_uncertainty(transferred, sol, _check_count(N))
+
+
+def _momentum_uncertainty(
+    transferred: TransferredFluxes, sol: ScatteringSolution, n: float
+) -> float:
+    """:func:`momentum_uncertainty` at a checked count ``n``."""
     v, e = kick_variance(transferred, sol)
-    return _normal("delta_p", math.sqrt(_check_count(N) * v), -e, sol)
+    return _normal("delta_p", math.sqrt(n * v), -e, sol)
 
 
 def uncertainty_of(
@@ -289,10 +305,10 @@ def uncertainty_of(
     (position tightens, momentum spreads).
     """
     n = _check_count(N)
-    delta_l = position_uncertainty(sol, n)
+    delta_l = _position_uncertainty(sol, n)
     if fluxes is None:
         fluxes = transferred_fluxes(sol)
-    delta_p = momentum_uncertainty(fluxes, sol, n)
+    delta_p = _momentum_uncertainty(fluxes, sol, n)
     return UncertaintyResult(
         delta_l, delta_p, delta_l.meters * delta_p / HBAR, n, sol, fluxes
     )

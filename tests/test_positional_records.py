@@ -93,10 +93,20 @@ def test_airy_interior_fields():
     assert inner.b_bar == kappa * gap * (depth - phi) / phi
     assert 0.0 < inner.b_bar < inner.a_bar
     assert inner.delta_zeta == _zeta_difference(inner.a_bar, inner.b_bar, kappa * gap)
-    zeta_a = airy_scaled(inner.a_bar)[1]
-    zeta_b = airy_scaled(inner.b_bar)[1]
-    assert close(TILTED.c_plus, inner.g_ai * math.exp(2.0 * zeta_b - zeta_a))
-    assert close(TILTED.c_minus, inner.g_bi * math.exp(-zeta_a))
+    assert inner.zeta_a == airy_scaled(inner.a_bar)[1]
+    assert inner.zeta_b == airy_scaled(inner.b_bar)[1]
+    # The textbook coefficients are formed from the stored zetas alone.
+    assert TILTED.c_plus == inner.g_ai * math.exp(2.0 * inner.zeta_b - inner.zeta_a)
+    assert TILTED.c_minus == inner.g_bi * math.exp(-inner.zeta_a)
+
+
+def test_airy_interior_with_the_turning_point_inside():
+    sol = solve(ENERGY, BarrierSpec.linear_field(5.0, 6.0, 0.5))
+    inner = sol.interior
+    assert inner.b_bar < 0.0 and inner.zeta_b == 0.0
+    assert inner.zeta_a == inner.delta_zeta == airy_scaled(inner.a_bar)[1]
+    assert sol.c_plus == inner.g_ai * math.exp(-inner.zeta_a)
+    assert sol.c_minus == inner.g_bi * math.exp(-inner.zeta_a)
 
 
 @pytest.mark.parametrize("z", [-12.5, -5.0, 0.0, 0.75, 3.0, 12.5])
