@@ -160,7 +160,10 @@ def quantum_force_psd(
     approximated by their rectangular equivalent explicitly by the
     caller).  Two routes are evaluated: the closed form
 
-        ``(I0/e) hbar^2 k^2 (1/2) [ (1+(k0/k)^2)^2 - (1-(k0/k)^2)^2 (1-T) ]``
+        ``(I0/e) hbar^2 k^2 (1/2) [ 4 (k0/k)^2 + (1-(k0/k)^2)^2 T ]``
+
+    (the bracket equals ``(1+(k0/k)^2)^2 - (1-(k0/k)^2)^2 (1-T)``, whose
+    two terms cancel when ``k << k0``)
 
     and twice the per-conducted-electron kick variance times the electron
     rate ``I0/e``: one conducted electron takes ``1/T`` attempts, so that
@@ -181,7 +184,7 @@ def quantum_force_psd(
         * HBAR**2
         * k**2
         * 0.5
-        * ((1.0 + ratio_sq) ** 2 - (1.0 - ratio_sq) ** 2 * (1.0 - sol.T))
+        * (4.0 * ratio_sq + (1.0 - ratio_sq) ** 2 * sol.T)
     )
     if fluxes is None:
         fluxes = transferred_fluxes(sol)

@@ -585,6 +585,26 @@ def test_opaque_feasibility_is_a_value(capsys):
     assert "quantum force PSD S_fQ:   1.4575013922" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--barrier", "sym", "--E", "1e-10"),
+        ("feasibility", "--E", "1e-10"),
+        ("sweep", "--barrier", "sym", "--sweep", "E", "--min", "1e-9", "--max", "1",
+         "--steps", "3", "--columns", "T,product,s_fq"),
+    ],
+    ids=["solve", "feasibility", "sweep"],
+)
+def test_s_fq_far_below_the_barrier_top_is_a_value(capsys, argv):
+    # k << k0: the closed form of s_fq keeps its digits there, so its
+    # agreement with the kick route does not fail the point.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "sweep":
+        _, _, rows, footer = parse_csv(out)
+        assert "# skipped_rows: 0" in footer and len(rows) == 3
+
+
 def test_missing_subcommand_is_an_argparse_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

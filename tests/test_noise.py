@@ -59,6 +59,22 @@ def test_quantum_psd_opaque_limit_value():
     assert limit == pytest.approx(1.39e-35 * (k0 / 1e10) ** 2, rel=0.01)
 
 
+def test_quantum_psd_closed_form_keeps_its_digits_far_below_the_top():
+    # Referee: the closed form in its textbook arrangement, at 50 digits,
+    # from the solver's own k, k0 and T.  The textbook arrangement in
+    # floats cancels as k/k0 falls: 7.2e-7 relative at E = 1e-10 eV.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for e_ev in (1e-2, 1e-4, 1e-7, 1e-10, 1e-12):
+            sol = solve(Energy.from_ev(e_ev), BarrierSpec.symmetric(5.0, 1.0))
+            rho_sq = (mpmath.mpf(sol.k0) / sol.k) ** 2
+            bracket = (1 + rho_sq) ** 2 - (1 - rho_sq) ** 2 * (1 - mpmath.mpf(sol.T))
+            rate = mpmath.mpf(1e-6) / ELEMENTARY_CHARGE
+            exact = rate * mpmath.mpf(HBAR) ** 2 * mpmath.mpf(sol.k) ** 2 * bracket / 2
+            got = quantum_force_psd(1e-6, sol)
+            assert abs(got - exact) <= 1e-15 * exact, e_ev
+
+
 def test_quantum_psd_linear_in_current():
     e = Energy.from_ev(1.0)
     spec = BarrierSpec.symmetric(5.0, 0.5)
