@@ -581,6 +581,7 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     )
     dT_dl = T * (-2.0 / (3.0 * length) - 2.0 * ddzeta - 2.0 * (df / f_tilde).real)
 
+    # -2j * k, not -two_ik: a zero real part would carry the other sign.
     g_ai = -2j * k * q_b / f_tilde
     g_bi = two_ik * p_b / f_tilde
 
