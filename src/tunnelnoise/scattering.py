@@ -204,12 +204,12 @@ class _RectInterior(NamedTuple):
 
     @property
     def c_plus(self) -> complex:
-        """Weight of ``e^{+k0 x}``: ``g_plus`` moved off the right edge."""
+        """Weight of ``e^{+k0 x}``: ``g_plus e^{-k0 b}``."""
         return _saturating_scale(self.g_plus, -self.k0 * self.b)
 
     @property
     def c_minus(self) -> complex:
-        """Weight of ``e^{-k0 x}``, whose anchor is the origin already."""
+        """Weight of ``e^{-k0 x}``: ``g_minus``, anchored at 0 already."""
         return self.g_minus
 
 

@@ -58,7 +58,7 @@ def points(draw):
 def call(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(arg) for arg in argv])
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
