@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from operator import itemgetter
 from typing import NamedTuple
 
 from .airy import airy_all
@@ -34,14 +35,21 @@ from .noise import (
     ResonatorSpec,
     _check_current,
     _check_finite,
+    _quantum_force_psd,
     feasibility_lhs,
     noise_budget,
     quantum_force_psd,
     shot_noise_current_psd,
 )
 from .scattering import BarrierSpec, Family, _check_energy, solve
-from .uncertainty import DerivativeMethod, dT_dl, uncertainty_of, uncertainty_product
-from .units import ELEMENTARY_CHARGE, Energy, Length
+from .uncertainty import (
+    DerivativeMethod,
+    _uncertainty_of,
+    dT_dl,
+    uncertainty_of,
+    uncertainty_product,
+)
+from .units import ELEMENTARY_CHARGE, NM, Energy, Length
 
 __all__ = [
     "SweepVariable",
@@ -207,23 +215,15 @@ def _moved(variable: SweepVariable, base: tuple, value: float) -> tuple:
 
 
 def _point_values(config: SweepConfig, base: tuple, value: float) -> tuple:
-    """Every supported column where the swept variable of ``base`` is
-    ``value``, in documented units and in ``_ALL_COLUMNS`` order; s_fq
-    is None unless the sweep asks for it."""
-    point = _moved(config.variable, base, value)
-    result = uncertainty_of(solve(*point), config.n_electrons)
-    sol = result.solution
+    """``value``, then every column where the swept variable of ``base`` is
+    ``value``, in documented units and ``_ALL_COLUMNS`` order (s_fq None
+    unless asked for), from the cores: the sweep has checked N and I0."""
+    sol = solve(*_moved(config.variable, base, value))
+    delta_l, delta_p, product, fluxes = _uncertainty_of(sol, config.n_electrons, None)
     s_fq = None
     if "s_fq" in config.outputs:
-        s_fq = quantum_force_psd(config.i0_a, sol, result.fluxes)
-    return (
-        sol.T,
-        sol.R,
-        result.delta_l.nm,
-        result.delta_p,
-        result.product_over_hbar,
-        s_fq,
-    )
+        s_fq = _quantum_force_psd(config.i0_a, sol, fluxes)
+    return value, sol.T, sol.R, delta_l / NM, delta_p, product, s_fq
 
 
 def run_sweep(config: SweepConfig) -> tuple:
@@ -250,28 +250,38 @@ def run_sweep(config: SweepConfig) -> tuple:
     grid = _grid(config)
     outputs = config.outputs
     header = (config.variable.value, *outputs)
-    picks = [_ALL_COLUMNS.index(name) for name in outputs]
+    # The value leads each pick, so the getter always returns a tuple.
+    pick = itemgetter(0, *[1 + _ALL_COLUMNS.index(name) for name in outputs])
+    bias = config.variable is SweepVariable.BIAS_PHI
     rows = []
     evaluated = []
+    first = None  # the outcome at grid[0]: its cells or its error
     for value in grid:
         try:
             cells = _point_values(config, base, value)
-        except (DomainError, ArithmeticError):
+        except (DomainError, ArithmeticError) as exc:
+            first = first or exc
             continue
-        picked = [cells[i] for i in picks]
+        first = first or cells
+        picked = pick(cells)
         if all(map(math.isfinite, picked)):
-            rows.append(dict(zip(header, [value, *picked])))
-            evaluated.append(cells)
+            rows.append(dict(zip(header, picked)))
+            if bias:
+                evaluated.append(cells)
     summary = {"skipped_rows": len(grid) - len(rows)}
-    if config.variable is SweepVariable.BIAS_PHI:
+    if bias:
         for name in ("delta_p", "product"):
-            index = _ALL_COLUMNS.index(name)
+            index = 1 + _ALL_COLUMNS.index(name)
             column = [cells[index] for cells in evaluated]
             summary[f"{name}_nondecreasing"] = all(
                 b >= a for a, b in zip(column, column[1:])
             )
         try:
-            product = _point_values(config, base, 0.0)[_ALL_COLUMNS.index("product")]
+            # A grid from phi = 0 has solved that point already.
+            cells = first if grid[0] == 0.0 else _point_values(config, base, 0.0)
+            if isinstance(cells, Exception):
+                raise cells
+            product = cells[1 + _ALL_COLUMNS.index("product")]
             if not math.isfinite(product):
                 raise DomainError("column product is not finite at 0.0")
             summary["zero_bias_product_hbar"] = product

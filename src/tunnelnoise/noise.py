@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _ROUTE_AGREEMENT = 1e-10
+_HBAR_SQ = HBAR**2
 # The floating-point figures of a NoiseBudget, in field order.
 _BUDGET_FIGURES = ("s_fq", "s_fl", "feasibility_lhs", "psd_ratio", "shot_psd")
 
@@ -175,13 +176,18 @@ def quantum_force_psd(
     """
     current = _check_current(I0)
     _check_symmetric(sol.barrier)
+    return _quantum_force_psd(current, sol, fluxes)
+
+
+def _quantum_force_psd(current: float, sol: ScatteringSolution, fluxes) -> float:
+    """:func:`quantum_force_psd` at a checked current on a symmetric barrier."""
     k = sol.k
     k0 = sol.k0
     rate = current / ELEMENTARY_CHARGE
     ratio_sq = (k0 / k) ** 2
     closed = (
         rate
-        * HBAR**2
+        * _HBAR_SQ
         * k**2
         * 0.5
         * (4.0 * ratio_sq + (1.0 - ratio_sq) ** 2 * sol.T)
@@ -190,7 +196,10 @@ def quantum_force_psd(
         fluxes = transferred_fluxes(sol)
     v, _ = kick_variance(fluxes, sol)
     from_kicks = 2.0 * v / sol.T_scaled * rate
-    _check_finite((("s_fq", closed), ("s_fq by the kick-variance route", from_kicks)))
+    if not (math.isfinite(closed) and math.isfinite(from_kicks)):
+        _check_finite(
+            (("s_fq", closed), ("s_fq by the kick-variance route", from_kicks))
+        )
     if abs(closed - from_kicks) > _ROUTE_AGREEMENT * max(abs(closed), abs(from_kicks)):
         raise ConsistencyError(
             "quantum-force-PSD routes disagree beyond 1e-10 relative: "

@@ -195,22 +195,34 @@ class _RectInterior(NamedTuple):
     """Interior wave anchored at the edges: ``g_plus`` multiplies the
     exponential growing toward the right edge ``b``, ``g_minus`` the one
     growing toward the left edge at 0.  Both anchored exponentials are
-    <= 1 everywhere in the barrier."""
+    <= 1 everywhere in the barrier.  Both are formed when read, from
+    ``t_anchored`` as well as ``t``, which is 0 past ``k0 b`` = 709."""
 
-    g_plus: complex
-    g_minus: complex
+    t: complex
+    t_anchored: complex
+    k_bar: float
     k0: float
     b: float
+
+    @property
+    def g_plus(self) -> complex:
+        """``(t/2) e^{i k_bar b} (1 + i k_bar/k0)``."""
+        phase_b = cmath.exp(1j * self.k_bar * self.b)
+        return 0.5 * self.t * phase_b * complex(1.0, self.k_bar / self.k0)
+
+    @property
+    def g_minus(self) -> complex:
+        """``(t_anchored/2) e^{i k_bar b} (1 - i k_bar/k0)``."""
+        phase_b = cmath.exp(1j * self.k_bar * self.b)
+        return 0.5 * self.t_anchored * phase_b * complex(1.0, -self.k_bar / self.k0)
 
     @property
     def c_plus(self) -> complex:
         """Weight of ``e^{+k0 x}``: ``g_plus e^{-k0 b}``."""
         return _saturating_scale(self.g_plus, -self.k0 * self.b)
 
-    @property
-    def c_minus(self) -> complex:
-        """Weight of ``e^{-k0 x}``: ``g_minus``, anchored at 0 already."""
-        return self.g_minus
+    # The weight of ``e^{-k0 x}`` is ``g_minus``, anchored at 0 already.
+    c_minus = g_minus
 
 
 class _AiryInterior(NamedTuple):
@@ -373,7 +385,8 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     """
     e = energy.joules
     k = wavenumber_free(e)
-    k_bar = wavenumber_free(e + spec.phi.joules)
+    phi = spec.phi.joules
+    k_bar = wavenumber_free(e + phi) if phi else k  # e + 0 is e
     k0 = wavenumber_evanescent(spec.V0.joules, e)
     length = spec.gap.meters
 
@@ -416,10 +429,6 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     log_slope = -2.0 * k0 - g_prime / g
     dT_dl = T * log_slope
 
-    phase_b = cmath.exp(1j * k_bar * length)
-    g_plus = 0.5 * t * phase_b * complex(1.0, k_bar / k0)
-    g_minus = 0.5 * t_anchored * phase_b * complex(1.0, -k_bar / k0)
-
     # Positional: a keyword call of a named tuple costs a kwargs dict.
     return ScatteringSolution(
         t,
@@ -436,7 +445,7 @@ def _solve_rect(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
         HBAR * k / _TWO_PI_M,
         spec,
         energy,
-        _RectInterior(g_plus, g_minus, k0, length),
+        _RectInterior(t, t_anchored, k_bar, k0, length),
     )
 
 
@@ -492,6 +501,11 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
     if spec.family is not Family.LINEAR_FIELD:
         raise UsageError(f"solve_linear_field got a {spec.family.value} barrier")
     _check_energy(energy, spec)
+    return _solve_tilted(energy, spec)
+
+
+def _solve_tilted(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
+    """:func:`solve_linear_field` at a checked energy."""
     phi = spec.phi.joules
     if phi / EV <= PHI_DISPATCH_EV:
         return _solve_rect(energy, spec)
@@ -607,15 +621,17 @@ def solve_linear_field(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
 
 
 _SOLVERS = {
-    Family.SYMMETRIC_RECT: solve_symmetric,
-    Family.ASYMMETRIC_RECT: solve_asymmetric,
-    Family.LINEAR_FIELD: solve_linear_field,
+    Family.SYMMETRIC_RECT: _solve_rect,
+    Family.ASYMMETRIC_RECT: _solve_rect,
+    Family.LINEAR_FIELD: _solve_tilted,
 }
 
 
 def solve(energy: Energy, spec: BarrierSpec) -> ScatteringSolution:
-    """Dispatch to the solver matching ``spec.family``."""
-    return _SOLVERS[spec.family](energy, spec)
+    """Check the energy once, then solve with the core of ``spec.family``."""
+    core = _SOLVERS[spec.family]
+    _check_energy(energy, spec)
+    return core(energy, spec)
 
 
 def _sample_exterior_left(sol: ScatteringSolution, x: float) -> WavefunctionSample:

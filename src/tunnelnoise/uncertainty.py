@@ -214,11 +214,11 @@ def position_uncertainty(sol: ScatteringSolution, N: float = 1.0) -> Length:
     first-order gap information; inverting it would need the second-order
     expansion, which is out of scope, so that input is rejected.
     """
-    return _position_uncertainty(sol, _check_count(N))
+    return Length(_position_uncertainty(sol, _check_count(N)))
 
 
-def _position_uncertainty(sol: ScatteringSolution, n: float) -> Length:
-    """:func:`position_uncertainty` at a checked count ``n``."""
+def _position_uncertainty(sol: ScatteringSolution, n: float) -> float:
+    """:func:`position_uncertainty` in meters at a checked count ``n``."""
     dT_dl = sol.dT_dl_scaled
     if not math.isfinite(dT_dl):
         raise DomainError(f"transmission derivative must be finite, got {dT_dl!r}")
@@ -230,7 +230,7 @@ def _position_uncertainty(sol: ScatteringSolution, n: float) -> Length:
             "required, which is out of scope"
         )
     root = math.sqrt(sol.T_scaled * sol.R / n) / abs(dT_dl)
-    return Length(_normal("delta_l", root, sol.scale, sol))
+    return _normal("delta_l", root, sol.scale, sol)
 
 
 def kick_variance(
@@ -305,13 +305,18 @@ def uncertainty_of(
     (position tightens, momentum spreads).
     """
     n = _check_count(N)
+    delta_l, delta_p, product, fluxes = _uncertainty_of(sol, n, fluxes)
+    return UncertaintyResult(Length(delta_l), delta_p, product, n, sol, fluxes)
+
+
+def _uncertainty_of(sol: ScatteringSolution, n: float, fluxes) -> tuple:
+    """:func:`uncertainty_of` at a checked count ``n``, as the tuple
+    ``(delta_l in m, delta_p, product over hbar, fluxes)``."""
     delta_l = _position_uncertainty(sol, n)
     if fluxes is None:
         fluxes = transferred_fluxes(sol)
     delta_p = _momentum_uncertainty(fluxes, sol, n)
-    return UncertaintyResult(
-        delta_l, delta_p, delta_l.meters * delta_p / HBAR, n, sol, fluxes
-    )
+    return delta_l, delta_p, delta_l * delta_p / HBAR, fluxes
 
 
 def uncertainty_product(

@@ -1,81 +1,57 @@
-"""Golden output bytes: the sha256 of stdout of fixed in-process CLI calls.
+"""Golden output bytes: the table and how it was recorded are in
+``tests/golden.py``, which also runs without pytest."""
 
-The digests were recorded with Python 3.11 and hold on 3.10 to 3.13.  The
-Airy asymptotic sums add their terms one by one in a fixed order, so
-they do not follow the interpreter's ``sum()``, which compensates its
-rounding from Python 3.12 on; with ``sum()`` the tilted JSON gap sweep
-and the tilted solve below printed other bytes on 3.12 and 3.13.
-
-Every call runs twice in one process, so the digests also cover reuse of
-the argument parser that ``cli.main`` builds once per process.
-"""
-
-import hashlib
+import cmath
+from types import SimpleNamespace
 
 import pytest
+from golden import GOLDEN, digest, mismatches
 
+from tunnelnoise import scattering
 from tunnelnoise.cli import main
-
-GAP_SWEEP = ("sweep", "--barrier", "field", "--sweep", "gap", "--phi", "1",
-             "--min", "0.1", "--max", "3", "--steps", "60")
-
-GOLDEN = [
-    # Tilted bias sweep: row 0 is below the 1e-9 eV dispatch seam, row 1
-    # above it, and the turning point phi = V0 - E = 4 eV lies inside.
-    (("sweep", "--barrier", "field", "--sweep", "phi", "--min", "0", "--max", "6",
-      "--steps", "41"),
-     "02159d706c313ce937d6d7f6c920face7b6f8c312f6bffce4efe261832b84537"),
-    # Tilted gap sweep whose edge arguments reach the asymptotic regime.
-    (GAP_SWEEP,
-     "a405b1c4892fcc43c571dcdc95c32c1003aa374ff4ecfe153e99ef5fa149ed3a"),
-    ((*GAP_SWEEP, "--format", "json"),
-     "448992420c8b6942481a62e0d4610247c6ab4382a00dc273cd7c36ba27fb6547"),
-    (("sweep", "--barrier", "asym", "--sweep", "phi", "--min", "0", "--max", "3",
-      "--steps", "25"),
-     "a90c7f2e159ed2074efa1dafb484c765d2bcaa1a296a4e0fa8d307f5d1133a5c"),
-    (("sweep", "--barrier", "sym", "--sweep", "gap", "--min", "0.1", "--max", "5",
-      "--steps", "30", "--columns", "T,R,delta_l,delta_p,product,s_fq"),
-     "245e62c1f4826571a2705473c7d1c6dfde24301177ccceb379785eb45f58b1ba"),
-    (("solve", "--barrier", "sym"),
-     "63ce15689fd683b4d8a788200f4bd6521e7144ee0149a10272375d01e5fb54be"),
-    (("solve", "--barrier", "asym", "--V0", "4", "--E", "1.2", "--phi", "1.5",
-      "--gap", "0.3"),
-     "7e78b89ba4f646fb8b97e146e901596e5561a782346165049de908007a128cb2"),
-    (("solve", "--barrier", "field", "--phi", "2", "--gap", "0.5"),
-     "9cec7143d0cff46046a08227e1ceb6ca9f22b9acd6cc39bc812d1278002f67d7"),
-    (("selftest",),
-     "2a89cf2a12e3088e68ab47efd1726ec2b5ea6405371c96b80a4ddd399dd6905b"),
-]
+from tunnelnoise.scattering import _RectInterior
 
 
-def stdout_digest(capsys, argv):
-    code = main(list(argv))
-    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-
-
-def test_stdout_matches_the_recorded_digests_twice_in_one_process(capsys):
-    mismatches = [
-        (round_no, " ".join(argv))
-        for round_no in (1, 2)
-        for argv, digest in GOLDEN
-        if stdout_digest(capsys, argv) != (0, digest)
-    ]
-    assert mismatches == []
+def test_stdout_matches_the_recorded_digests_twice_in_one_process():
+    assert mismatches() == []
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
-    plain = stdout_digest(capsys, ("solve",))
+    plain = digest(("solve",))
     config = tmp_path / "point.cfg"
     config.write_text("barrier = asym\nphi = 1.5\ngap = 0.3\n")
-    configured = stdout_digest(capsys, ("solve", "--config", str(config)))
+    configured = digest(("solve", "--config", str(config)))
     assert configured[0] == 0 and configured != plain
     # The config entries do not leak into a later flag-only call.
-    assert stdout_digest(capsys, ("solve",)) == plain
+    assert digest(("solve",)) == plain
     # Neither does an argparse rejection nor a usage error found later.
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--steps", "many"])
     assert exc.value.code == 2
     assert main(["sweep", "--steps", "1"]) == 2
     capsys.readouterr()
-    assert stdout_digest(capsys, ("solve",)) == plain
-    assert stdout_digest(capsys, GOLDEN[1][0]) == (0, GOLDEN[1][1])
+    assert digest(("solve",)) == plain
+    assert digest(GOLDEN[1][0]) == (0, GOLDEN[1][1])
+
+
+def test_sweep_rows_never_form_the_rectangular_interior_weights(monkeypatch):
+    # The weights are formed only when read; a sweep row reads none of them,
+    # so its solve takes one complex exponential, the transmitted phase.
+    def unread(inner):
+        raise AssertionError("a sweep row read the rectangular interior weights")
+
+    for name in ("g_plus", "g_minus", "c_plus", "c_minus"):
+        monkeypatch.setattr(_RectInterior, name, property(unread))
+    phases = []
+
+    def exp(z):
+        phases.append(z)
+        return cmath.exp(z)
+
+    monkeypatch.setattr(scattering, "cmath", SimpleNamespace(exp=exp))
+    # The asym bias sweep and the sym gap sweep with s_fq.
+    rect = GOLDEN[3:5]
+    assert [argv[2] for argv, _ in rect] == ["asym", "sym"]
+    assert rect[1][0][-1].endswith(",s_fq")
+    assert [digest(argv) for argv, _ in rect] == [(0, want) for _, want in rect]
+    assert len(phases) == 25 + 30

@@ -117,3 +117,37 @@ def test_s_fq_reads_the_per_attempt_kick_variance(monkeypatch, capsys):
     assert main([*argv, "--columns", "s_fq"]) == 0
     capsys.readouterr()
     assert calls == ["kick_variance"] * 3
+
+
+@pytest.mark.parametrize("barrier", ["asym", "field"])
+def test_bias_sweep_from_zero_solves_each_point_once(monkeypatch, capsys, barrier):
+    # The zero-bias product reads the first row's outcome: no extra solve.
+    calls = count_calls(monkeypatch, scattering, ("solve",))
+    argv = ["sweep", "--barrier", barrier, "--sweep", "phi", "--min", "0"]
+    assert main([*argv, "--max", "2", "--steps", "5"]) == 0
+    assert "# zero_bias_product_hbar: 5.00000000000e-01\n" in capsys.readouterr().out
+    assert calls == ["solve"] * 5
+
+
+def test_bias_sweep_off_zero_solves_the_zero_bias_point_too(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, scattering, ("solve",))
+    argv = ["sweep", "--barrier", "asym", "--sweep", "phi", "--min", "0.5"]
+    assert main([*argv, "--max", "2", "--steps", "5"]) == 0
+    assert "# zero_bias_product_hbar: " in capsys.readouterr().out
+    assert calls == ["solve"] * 6
+
+
+def test_skipped_first_row_still_names_why_the_zero_bias_product_is_left_out(
+    monkeypatch, capsys
+):
+    calls = count_calls(monkeypatch, scattering, ("solve",))
+    argv = ["sweep", "--barrier", "asym", "--sweep", "phi", "--gap", "80"]
+    assert main([*argv, "--min", "0", "--max", "1", "--steps", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert "# skipped_rows: 3\n" in out and "zero_bias" not in out
+    assert err == (
+        "zero-bias product left out: RangeError: delta_l is about 2^1148, outside "
+        "the normal floats, at T about 2^-2363, which underflows: the barrier is "
+        "too opaque for the uncertainty pair\n"
+    )
+    assert calls == ["solve"] * 3

@@ -5,6 +5,7 @@ independently, on barriers where ``k != k_bar``; an ``ast`` guard keeps
 keyword construction of these records out of the package."""
 
 import ast
+import cmath
 import math
 from pathlib import Path
 
@@ -77,6 +78,37 @@ def test_rectangular_interior_fields():
     assert ASYM.c_plus == inner.g_plus * math.exp(-ASYM.k0 * inner.b)
     # g_plus carries the tunneling factor exp(-k0 l), g_minus does not.
     assert close(abs(inner.g_plus), abs(inner.g_minus) * math.exp(-inner.k0 * inner.b))
+
+
+OPAQUE = solve(ENERGY, BarrierSpec.asymmetric(5.0, 1.0, 80.0))
+
+
+@pytest.mark.parametrize("sol", [ASYM, OPAQUE], ids=["asym", "asym-opaque"])
+def test_rectangular_interior_weights(sol):
+    # Formed here from the solution's wavenumbers, in the solver's order.
+    inner = sol.interior
+    k, k_bar, k0, gap = sol.k, sol.k_bar, sol.k0, sol.barrier.gap.meters
+    m2 = math.exp(-2.0 * k0 * gap)
+    d_hat = 0.5 * complex(
+        k0 * (k + k_bar) * (1.0 + m2), (k0 * k0 - k * k_bar) * (1.0 - m2)
+    )
+    t_anchored = 2.0 * k * k0 * cmath.exp(-1j * k_bar * gap) / d_hat
+    phase_b = cmath.exp(1j * k_bar * gap)
+    g_plus = 0.5 * sol.t * phase_b * complex(1.0, k_bar / k0)
+    g_minus = 0.5 * t_anchored * phase_b * complex(1.0, -k_bar / k0)
+    assert (inner.t, inner.t_anchored, inner.k_bar) == (sol.t, t_anchored, k_bar)
+    assert inner.g_plus == g_plus and inner.g_minus == g_minus
+    assert sol.c_plus == (g_plus * math.exp(-k0 * gap) if k0 * gap <= 754.0 else 0j)
+    assert sol.c_minus == g_minus
+
+
+def test_opaque_rectangular_interior_keeps_the_left_weight():
+    # Past k0 l = 709 t underflows to 0, but the weight of e^{-k0 x} is
+    # 2 k (k0 - i k_bar) / (k0 (k + k_bar) + i (k0^2 - k k_bar)), here with
+    # k : k_bar : k0 = 1 : sqrt(2) : 2, which is 0.4 - 0.8i.
+    assert OPAQUE.barrier.gap.meters * OPAQUE.k0 > 709.0
+    assert OPAQUE.t == 0 and OPAQUE.c_plus == 0
+    assert abs(OPAQUE.c_minus - (0.4 - 0.8j)) < 1e-15
 
 
 def test_airy_interior_fields():
