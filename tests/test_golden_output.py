@@ -54,4 +54,5 @@ def test_sweep_rows_never_form_the_rectangular_interior_weights(monkeypatch):
     assert [argv[2] for argv, _ in rect] == ["asym", "sym"]
     assert rect[1][0][-1].endswith(",s_fq")
     assert [digest(argv) for argv, _ in rect] == [(0, want) for _, want in rect]
+    # One per row: 25 asym rows, whose zero-bias point is row 0, and 30 sym.
     assert len(phases) == 25 + 30
